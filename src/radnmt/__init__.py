@@ -47,11 +47,9 @@ from .radicals import (
     KANGXI_GLYPHS,
     N_RADICALS,
     RadicalTable,
-    annotate,
     load_bundled_table,
     load_radical_table,
     radical_glyph,
-    radical_of,
 )
 from .training import TrainConfig, TrainReport, perplexity, sgd_step, train
 

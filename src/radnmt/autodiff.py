@@ -90,7 +90,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._closed = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -102,14 +101,7 @@ class Tape:
             raise TapeError("tape context exited out of order")
 
     def record(self, output: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-        if self._closed:
-            raise TapeError("cannot record onto a cleared tape")
         self._records.append(_Record(output, inputs, vjp))
-
-    def clear(self) -> None:
-        """Drop all records; the tape can no longer be differentiated."""
-        self._records.clear()
-        self._closed = True
 
     def __len__(self) -> int:
         return len(self._records)
@@ -121,8 +113,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
     Gradients accumulate: callers zero them between steps. Calling twice
     on the same tape therefore doubles every gradient.
     """
-    if tape._closed:
-        raise TapeError("backward through a cleared tape")
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -473,10 +463,7 @@ def clip_by_global_norm(grads: Sequence[np.ndarray], max_norm: float = 1.0):
 
     Returns (grads, pre_clip_norm).
     """
-    total = 0.0
-    for g in grads:
-        total += float((g * g).sum())
-    norm = float(np.sqrt(total))
+    norm = global_norm(grads)
     if not np.isfinite(norm):
         raise NumericError("clip_by_global_norm: non-finite gradient norm")
     if norm > max_norm:

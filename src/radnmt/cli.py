@@ -28,6 +28,7 @@ from .corpus import (
     build_vocab,
     encode_corpus,
     read_parallel,
+    read_utf8,
 )
 from .errors import DataError, NumericError, RadnmtError, UsageError
 from .evaluation import TOKENIZATIONS, evaluate
@@ -43,7 +44,6 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "char_embed": (int, 448),
     "feat_embed": (int, 64),
     "feat_vocab": (int, FEATURE_VOCAB_SIZE),
-    "attention": (str, "general"),
     "dropout": (float, 0.8),
     "lr": (float, 1.0),
     "lr_decay": (float, 0.5),
@@ -230,7 +230,7 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_build_vocab(args) -> int:
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(args.input).splitlines()
     vocab = build_vocab(lines, min_count=args.min_count, max_size=args.max_size)
     vocab.save(args.output)
     write_run_manifest(
@@ -280,7 +280,6 @@ def _cmd_train(args) -> int:
         feat_embed_dim=feat_dim,
         hidden_size=cfg["hidden"],
         feat_vocab_size=cfg["feat_vocab"],
-        attention=cfg["attention"],
         dropout=cfg["dropout"],
     )
     params = ModelParams.initialize(mconfig, seed, feature_path=not args.no_features)
@@ -367,9 +366,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("RADNMT_SEED", "0"))
+    seed = _resolve_seed(args, {})
     config = ModelConfig(
         src_vocab_size=8, tgt_vocab_size=8, char_embed_dim=4, feat_embed_dim=2,
         hidden_size=4, feat_vocab_size=8, dropout=0.0,

@@ -108,16 +108,20 @@ def build_vocab(sentences, min_count: int = 1, max_size: int | None = None) -> V
     return Vocab(admitted)
 
 
+def read_utf8(path) -> str:
+    """A whole text file; bytes that are not UTF-8 raise DataError."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+
+
 def read_parallel(src_path, tgt_path) -> list[tuple[str, str]]:
     """Line-aligned sentence pairs from two UTF-8 files."""
 
     def read_lines(path) -> list[str]:
-        raw = Path(path).read_bytes()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-        lines = text.split("\n")
+        lines = read_utf8(path).split("\n")
         if lines and lines[-1] == "":  # trailing newline
             lines.pop()
         return lines

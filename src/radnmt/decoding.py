@@ -1,11 +1,14 @@
 """Beam-search translation.
 
-Each step expands every live hypothesis over the full vocabulary
-(PAD and BOS are never emitted), keeps the top beam_size candidates by
-score, and moves EOS-ended ones to a completed pool. Search stops when
-every kept candidate is finished or max_len is reached. Ties break
-toward the lexicographically smaller token sequence, so output is
-platform-deterministic.
+The live beam is kept as arrays: token rows (k, t), cumulative
+log-probabilities (k,) and decoder state h, c, h~ (k, q). Each step
+scores all k*V extensions at once (PAD and BOS are masked to -inf, never
+emitted), keeps the top beam_size in ranked order and gathers the arrays
+by parent row; EOS-ended candidates move to a completed pool. Search
+stops when every kept candidate is finished or max_len is reached. Ties
+break toward the lexicographically smaller token sequence: live rows
+have equal length, so that is the parent's lexicographic rank, then the
+token id. Output is therefore platform-deterministic.
 
 Scores are cumulative log-probabilities; an optional length exponent
 alpha rescales completed hypotheses as logprob / len^alpha (default 0,
@@ -14,13 +17,14 @@ i.e. off).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import BOS, EOS, PAD, EOS_FEATURE, Vocab
+from .corpus import BOS, EOS, PAD, EOS_FEATURE, Vocab, read_utf8
 from .errors import DataError, RadnmtError
 from .model import Annotations, ModelParams, decode_step, encode, init_decoder_state
 from .radicals import RadicalTable
@@ -32,7 +36,6 @@ DEFAULT_UNK_TOKEN = "〓"  # geta mark, the CJK "missing glyph" convention
 class Hypothesis:
     tokens: list[int]  # emitted ids, EOS included when finished
     logprob: float
-    state: tuple = field(repr=False, default=None)  # (h, c, h_tilde) arrays
     finished: bool = False
 
     def score(self, length_alpha: float = 0.0) -> float:
@@ -77,45 +80,41 @@ def beam_search(
     mask = np.ones_like(src, dtype=bool)
     ann = encode(src, feats, mask, params)
     h0, c0 = init_decoder_state(ann, params)
-    q = params.config.hidden_size
-    start = Hypothesis([], 0.0, (h0.data[0], c0.data[0], np.zeros(q)))
-    alive = [start]
+    tokens = np.full((1, 1), BOS, dtype=np.int64)  # the BOS column is dropped on output
+    logprob = np.zeros(1)
+    h, c, h_tilde = h0.data, c0.data, np.zeros((1, params.config.hidden_size))
     completed: list[Hypothesis] = []
-    banned = (PAD, BOS)
     for _ in range(max_len):
-        k = len(alive)
+        k = len(logprob)
         tiled = Annotations(
             Tensor(np.repeat(ann.vectors.data, k, axis=0)),
             np.repeat(mask, k, axis=0),
             None,
             None,
         )
-        y_prev = np.array([h.tokens[-1] if h.tokens else BOS for h in alive], dtype=np.int64)
-        h_prev = Tensor(np.stack([h.state[0] for h in alive]))
-        c_prev = Tensor(np.stack([h.state[1] for h in alive]))
-        ht_prev = Tensor(np.stack([h.state[2] for h in alive]))
-        logits, (h_new, c_new), h_tilde = decode_step(
-            y_prev, ht_prev, (h_prev, c_prev), tiled, params
+        logits, (h_new, c_new), ht_new = decode_step(
+            tokens[:, -1], Tensor(h_tilde), (Tensor(h), Tensor(c)), tiled, params
         )
-        logprobs = _log_softmax(logits.data)  # (k, V)
-        candidates = []
-        for i, hyp in enumerate(alive):
-            state = (h_new.data[i], c_new.data[i], h_tilde.data[i])
-            for v in range(logprobs.shape[1]):
-                if v in banned:
-                    continue
-                candidates.append(
-                    Hypothesis(hyp.tokens + [v], hyp.logprob + float(logprobs[i, v]), state, v == EOS)
-                )
-        candidates.sort(key=lambda h: (-h.logprob, tuple(h.tokens)))
-        kept = candidates[:beam_size]
-        alive = [h for h in kept if not h.finished]
-        completed.extend(h for h in kept if h.finished)
-        if not alive:
+        lex = np.lexsort(tokens.T[::-1])  # live rows in lexicographic order
+        scores = (logprob[:, None] + _log_softmax(logits.data))[lex]
+        scores[:, [PAD, BOS]] = -np.inf
+        # a stable sort breaks score ties by flat index (lex rank, token)
+        keep = np.argsort(-scores, axis=None, kind="stable")[:beam_size]
+        keep = keep[np.isfinite(scores.flat[keep])]
+        row, token = np.divmod(keep, scores.shape[1])
+        parent, logprob = lex[row], scores.flat[keep]
+        tokens = np.column_stack([tokens[parent], token])
+        done = token == EOS
+        completed.extend(
+            Hypothesis(t[1:].tolist(), float(lp), True) for t, lp in zip(tokens[done], logprob[done])
+        )
+        parent, tokens, logprob = parent[~done], tokens[~done], logprob[~done]
+        h, c, h_tilde = h_new.data[parent], c_new.data[parent], ht_new.data[parent]
+        if logprob.size == 0:
             break
+    if not completed:
+        completed = [Hypothesis(t[1:].tolist(), float(lp)) for t, lp in zip(tokens, logprob)]
     ranked = sorted(completed, key=lambda h: (-h.score(length_alpha), tuple(h.tokens)))
-    if not ranked:
-        ranked = sorted(alive, key=lambda h: (-h.score(length_alpha), tuple(h.tokens)))
     return ranked[:n_best]
 
 
@@ -150,10 +149,9 @@ def translate_file(
 ) -> int:
     """Translate line by line, preserving order. Returns the line count."""
     input_path, output_path = Path(input_path), Path(output_path)
+    src = io.StringIO(read_utf8(input_path), newline=None)  # universal newlines, as open()
     count = 0
-    with input_path.open(encoding="utf-8") as src, output_path.open(
-        "w", encoding="utf-8"
-    ) as dst:
+    with output_path.open("w", encoding="utf-8") as dst:
         for lineno, raw in enumerate(src, 1):
             line = raw.rstrip("\n")
             try:

@@ -46,8 +46,6 @@ class ModelConfig:
     feat_embed_dim: int = 64  # p2; 0 disables the radical path
     hidden_size: int = 512  # q
     feat_vocab_size: int = FEATURE_VOCAB_SIZE
-    layers: int = 1
-    attention: str = "general"
     dropout: float = 0.8
 
     def __post_init__(self):
@@ -57,25 +55,10 @@ class ModelConfig:
             raise ConfigError("feat_embed_dim must be >= 0")
         if self.hidden_size < 1:
             raise ConfigError("hidden_size must be >= 1")
-        if self.layers != 1:
-            raise ConfigError("only single-layer encoder/decoder is supported")
         if self.src_vocab_size < 5 or self.tgt_vocab_size < 5:
             raise ConfigError("vocabularies must contain at least one character")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.attention == "dot":
-            # dot scores need the annotation dim (2q) to equal the decoder
-            # state dim (q), which a concatenating bi-encoder never gives.
-            raise ConfigError(
-                "attention='dot' requires matching encoder/decoder dims; "
-                "the bidirectional encoder produces 2q-dim annotations, use 'general'"
-            )
-        if self.attention != "general":
-            raise ConfigError(f"unknown attention kind {self.attention!r}")
-
-    @property
-    def total_embed_dim(self) -> int:
-        return self.char_embed_dim + self.feat_embed_dim
 
 
 def _param_shapes(config: ModelConfig, feature_path: bool) -> dict[str, tuple[int, ...]]:
@@ -384,18 +367,26 @@ def load_checkpoint(path) -> ModelParams:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (manifest_len,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(manifest_len).decode("utf-8"))
-        config = ModelConfig(**manifest["config"])
+        try:
+            (version,) = struct.unpack("<I", f.read(4))
+            if version != CHECKPOINT_VERSION:
+                raise DataError(f"{path}: unsupported checkpoint version {version}")
+            (manifest_len,) = struct.unpack("<Q", f.read(8))
+            manifest = json.loads(f.read(manifest_len).decode("utf-8"))
+        except (struct.error, ValueError) as exc:  # short read, cut-off JSON
+            raise DataError(f"{path}: truncated checkpoint header ({exc})") from exc
         payload = f.read()
+    # single-valued fields that older manifests still carry
+    for removed in ("layers", "attention"):
+        manifest["config"].pop(removed, None)
+    config = ModelConfig(**manifest["config"])
     tensors = {}
     for entry in manifest["tensors"]:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start + 8 * size > len(payload):
+            raise DataError(f"{path}: truncated checkpoint (payload ends inside {entry['name']})")
         arr = np.frombuffer(payload, dtype="<f8", count=size, offset=start)
         t = Tensor(arr.reshape(shape).copy(), requires_grad=True)
         t.name = entry["name"]

@@ -147,14 +147,6 @@ class RadicalTable:
         return [self.radical_of(ch) for ch in sentence]
 
 
-def radical_of(ch: str, table: RadicalTable) -> int:
-    return table.radical_of(ch)
-
-
-def annotate(sentence: str, table: RadicalTable) -> list[int]:
-    return table.annotate(sentence)
-
-
 def _parse_codepoint(token: str, path, lineno: int) -> int:
     if token.startswith("U+"):
         try:

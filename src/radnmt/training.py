@@ -26,9 +26,6 @@ log = logging.getLogger(__name__)
 
 DECAY_MODES = ("plateau", "epoch", "none")
 
-# presets mirroring the two reported dropout settings
-DROPOUT_PRESETS = {"paper-default": 0.8, "paper-best": 0.3}
-
 
 @dataclass
 class TrainConfig:
@@ -60,13 +57,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
-
-    @classmethod
-    def preset(cls, name: str, **overrides) -> "TrainConfig":
-        if name not in DROPOUT_PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; choose from {sorted(DROPOUT_PRESETS)}")
-        overrides.setdefault("dropout", DROPOUT_PRESETS[name])
-        return cls(**overrides)
 
 
 @dataclass

@@ -204,6 +204,37 @@ def test_gradcheck_env_seed(monkeypatch, capsys):
     assert dispatch(["gradcheck"]) == 0
 
 
+def test_gradcheck_bad_env_seed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("RADNMT_SEED", "abc")
+    assert dispatch(["gradcheck"]) == 1
+    assert "RADNMT_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("end", [10, 40, -100])  # cut in the header, manifest, payload
+def test_truncated_checkpoint_is_data_error(end, trained_dir, tmp_path, capsys):
+    model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
+    cut = tmp_path / "cut.rnmt"
+    cut.write_bytes(model.read_bytes()[:end])
+    inp = tmp_path / "in.txt"
+    inp.write_text("鉄の実験。\n", encoding="utf-8")
+    code = dispatch([
+        "translate", "--model", str(cut), "--input", str(inp), "--output", str(tmp_path / "out.txt"),
+    ])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "translate"])
+def test_non_utf8_input_is_data_error(command, trained_dir, tmp_path, capsys):
+    inp = tmp_path / "in.txt"
+    inp.write_bytes(b"\xff\xfe\x00a\n")
+    args = [command, "--input", str(inp), "--output", str(tmp_path / "out.txt")]
+    if command == "translate":
+        args += ["--model", str(sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1])]
+    assert dispatch(args) == 2
+    assert "invalid UTF-8" in capsys.readouterr().err
+
+
 def test_train_seed_env_fallback(tmp_path, monkeypatch):
     src, tgt = radnmt.toy_corpus_paths()
     monkeypatch.setenv("RADNMT_SEED", "5")

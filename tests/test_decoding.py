@@ -20,6 +20,23 @@ def _rand_model(seed, src_vocab=5, tgt_vocab=5, spread=0.5):
     return ModelParams.initialize(config, seed, init_low=-spread, init_high=spread)
 
 
+def _zero_model(src_vocab=5, tgt_vocab=5):
+    # every output distribution is uniform, so all candidates of a step
+    # tie and only the tie-break decides which survive
+    params = _rand_model(0, src_vocab, tgt_vocab)
+    for t in params.all():
+        t.data[...] = 0.0
+    return params
+
+
+# seeded random models, plus the all-zero one
+TINY_MODELS = pytest.mark.parametrize(
+    "seed, zero",
+    [(seed, False) for seed in range(20)] + [(0, True)],
+    ids=[str(seed) for seed in range(20)] + ["zero-params"],
+)
+
+
 def _rand_input(seed, src_vocab=5, max_chars=3):
     rng = derive_rng(seed, "beam-input")
     n = int(rng.integers(0, max_chars))
@@ -70,9 +87,9 @@ def test_hypothesis_logprob_matches_independent_replay():
         )
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_beam5_equals_brute_force_on_tiny_models(seed):
-    params = _rand_model(seed)
+@TINY_MODELS
+def test_beam5_equals_brute_force_on_tiny_models(seed, zero):
+    params = _zero_model() if zero else _rand_model(seed)
     src, feats = _rand_input(seed)
     score, tokens = brute_force_best(params, src, feats, max_len=3)
     best = beam_search(params, src, feats, beam_size=5, max_len=3)[0]
@@ -90,9 +107,12 @@ def test_huge_beam_is_structurally_exhaustive():
         assert best.tokens == tokens
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_beam1_equals_independent_greedy(seed):
-    params = _rand_model(seed, src_vocab=8, tgt_vocab=8, spread=0.4)
+@TINY_MODELS
+def test_beam1_equals_independent_greedy(seed, zero):
+    if zero:
+        params = _zero_model(src_vocab=8, tgt_vocab=8)
+    else:
+        params = _rand_model(seed, src_vocab=8, tgt_vocab=8, spread=0.4)
     rng = derive_rng(seed, "greedy-input")
     n = int(rng.integers(1, 4))
     src = np.append(rng.integers(4, 8, size=n), EOS).astype(np.int64)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,10 +30,6 @@ from conftest import tiny_batch, tiny_config
 def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(char_embed_dim=0)
-    with pytest.raises(ConfigError):
-        tiny_config(layers=2)
-    with pytest.raises(ConfigError):
-        tiny_config(attention="dot")  # 2q annotations never match q states
     with pytest.raises(ConfigError):
         tiny_config(dropout=1.0)
 
@@ -314,6 +313,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
     after, _ = forward_loss(batch, loaded)
     assert after.item() == before.item()
+
+
+def test_checkpoint_with_removed_config_fields_loads(tmp_path):
+    # manifests written before ModelConfig lost its single-valued
+    # `layers` and `attention` fields still carry them
+    params = ModelParams.initialize(tiny_config(), seed=16)
+    path = tmp_path / "model.rnmt"
+    save_checkpoint(params, path)
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16 : 16 + manifest_len])
+    manifest["config"].update(layers=1, attention="general")
+    old_manifest = json.dumps(manifest).encode("utf-8")
+    header = raw[:8] + struct.pack("<Q", len(old_manifest))
+    path.write_bytes(header + old_manifest + raw[16 + manifest_len :])
+    loaded = load_checkpoint(path)
+    assert loaded.config == params.config
+    for (name, a), (_, b) in zip(params.named(), loaded.named()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

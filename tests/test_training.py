@@ -29,13 +29,6 @@ def test_train_config_validation():
         TrainConfig(dropout=1.0)
 
 
-def test_presets_mirror_reported_dropouts():
-    assert TrainConfig.preset("paper-default").dropout == 0.8
-    assert TrainConfig.preset("paper-best").dropout == 0.3
-    with pytest.raises(ConfigError):
-        TrainConfig.preset("nope")
-
-
 def test_sgd_lr_zero_leaves_params():
     params = ModelParams.initialize(tiny_config(), seed=0)
     before = {n: t.data.copy() for n, t in params.named()}
