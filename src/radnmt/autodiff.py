@@ -6,7 +6,9 @@ once, in reverse, accumulating vector-Jacobian products. Ops executed
 with no active tape run forward-only, which is what decoding uses.
 
 Everything is float64. Every op checks its output for NaN/Inf and
-raises NumericError rather than letting poison propagate.
+raises NumericError rather than letting poison propagate. lstm runs a
+whole recurrence as one multi-output op (H, h_T, c_T) with a
+hand-derived BPTT VJP; it also checks every step's gate pre-activations.
 """
 
 from __future__ import annotations
@@ -77,10 +79,12 @@ class Tensor:
 
 
 class _Record:
-    __slots__ = ("output", "inputs", "vjp")
+    """One op on the tape: vjp takes one gradient per output, in order."""
 
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...], vjp: Callable):
-        self.output = output
+    __slots__ = ("outputs", "inputs", "vjp")
+
+    def __init__(self, outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp: Callable):
+        self.outputs = outputs
         self.inputs = inputs
         self.vjp = vjp
 
@@ -100,8 +104,8 @@ class Tape:
         if popped is not self:  # pragma: no cover - indicates interleaved misuse
             raise TapeError("tape context exited out of order")
 
-    def record(self, output: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-        self._records.append(_Record(output, inputs, vjp))
+    def record(self, outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp: Callable) -> None:
+        self._records.append(_Record(outputs, inputs, vjp))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -111,18 +115,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 
     Gradients accumulate: callers zero them between steps. Calling twice
-    on the same tape therefore doubles every gradient.
+    on the same tape therefore doubles every gradient. An output of a
+    multi-output op that the loss does not reach gets a zero gradient.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    produced = {id(rec.output) for rec in tape._records}
+    produced = {id(out) for rec in tape._records for out in rec.outputs}
     seen: dict[int, Tensor] = {id(loss): loss}
     for rec in reversed(tape._records):
-        g = flowing.pop(id(rec.output), None)
-        if g is None:
+        gs = [flowing.pop(id(out), None) for out in rec.outputs]
+        if all(g is None for g in gs):
             continue
-        for tensor, grad in zip(rec.inputs, rec.vjp(g)):
+        gs = [np.zeros_like(out.data) if g is None else g for out, g in zip(rec.outputs, gs)]
+        for tensor, grad in zip(rec.inputs, rec.vjp(*gs)):
             if grad is None:
                 continue
             key = id(tensor)
@@ -142,8 +148,11 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite values produced by {op}")
 
 
-def _emit(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
-    _finite_or_raise(out_data, op)
+def _emit(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable):
+    """Wrap an op's output array (or tuple of arrays) and record it if needed."""
+    datas = out_data if isinstance(out_data, tuple) else (out_data,)
+    for data in datas:
+        _finite_or_raise(data, op)
     needs = False
     stack = _tape_stack()
     if stack:
@@ -151,10 +160,10 @@ def _emit(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable
             if t.requires_grad:
                 needs = True
                 break
-    out = Tensor(out_data, requires_grad=needs)
+    outs = tuple(Tensor(data, requires_grad=needs) for data in datas)
     if needs:
-        stack[-1].record(out, tuple(inputs), vjp)
-    return out
+        stack[-1].record(outs, tuple(inputs), vjp)
+    return outs if isinstance(out_data, tuple) else outs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +207,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise multiply; either side may be a (B,1) column broadcast."""
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        reduce_a = reduce_b = False
-    elif len(sa) == 2 and sb == (sa[0], 1):
-        reduce_a, reduce_b = False, True
-    elif len(sb) == 2 and sa == (sb[0], 1):
-        reduce_a, reduce_b = True, False
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
     out = a.data * b.data
 
     def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g * b.data
-            if reduce_a:
-                ga = ga.sum(axis=1, keepdims=True)
-        if b.requires_grad:
-            gb = g * a.data
-            if reduce_b:
-                gb = gb.sum(axis=1, keepdims=True)
-        return ga, gb
+        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
 
     return _emit("mul", out, (a, b), vjp)
 
@@ -246,6 +238,67 @@ def sigmoid(x: Tensor) -> Tensor:
         return (out * (1.0 - out) * g,)
 
     return _emit("sigmoid", out, (x,), vjp)
+
+
+def lstm(xw: Tensor, Wh: Tensor, h0: Tensor, c0: Tensor, mask=None, reverse: bool = False):
+    """A whole LSTM recurrence as one op; returns (H (B,L,q), h_T, c_T).
+
+    xw is the input projection plus bias of every step, time-major: row
+    t*B + b is step t of batch row b, gate layout [i | f | o | g] along
+    its 4q columns. Step t computes gates = xw_t + h @ Wh; where the
+    (B, L) mask is False, h and c carry through unchanged. reverse runs
+    t = L-1 .. 0. H[:, t] is the state after step t. A non-finite gate
+    pre-activation raises NumericError. The VJP is backpropagation
+    through time, with dWh as one H_prev^T @ dGates product.
+    """
+    batch, q = h0.shape
+    length = xw.shape[0] // batch
+    if Wh.shape != (q, 4 * q) or c0.shape != h0.shape or xw.shape != (length * batch, 4 * q) or not length:
+        raise ShapeError(f"lstm: xw {xw.shape}, Wh {Wh.shape}, h0 {h0.shape}, c0 {c0.shape}")
+    keep = np.ones((length, batch, 1), bool) if mask is None else np.asarray(mask, bool).T[:, :, None]
+    if keep.shape != (length, batch, 1):
+        raise ShapeError(f"lstm: mask shape {np.shape(mask)} != {(batch, length)}")
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    xw3 = xw.data.reshape(length, batch, 4 * q)
+    acts = np.empty((length, batch, 4 * q))  # sigmoid(i, f, o), tanh(g)
+    h_prev, c_prev, tanh_c, H = (np.empty((length, batch, q)) for _ in range(4))
+    h, c = h0.data, c0.data
+    for t in order:
+        gates = xw3[t] + h @ Wh.data
+        _finite_or_raise(gates, "lstm")
+        acts[t, :, : 3 * q] = _sigmoid(gates[:, : 3 * q])
+        acts[t, :, 3 * q :] = np.tanh(gates[:, 3 * q :])
+        i, f, o, g = np.split(acts[t], 4, axis=1)
+        h_prev[t], c_prev[t] = h, c
+        c_new = f * c + i * g
+        tanh_c[t] = np.tanh(c_new)
+        H[t] = h = np.where(keep[t], o * tanh_c[t], h)
+        c = np.where(keep[t], c_new, c)
+
+    def vjp(dH, dh, dc):
+        dgates = np.empty_like(acts)
+        for t in reversed(order):
+            i, f, o, g = np.split(acts[t], 4, axis=1)
+            m = keep[t]
+            dh = dh + dH[:, t]
+            dh_new, dc_new = dh * m, dc * m
+            dc_new = dc_new + dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
+            d = dgates[t]
+            d[:, :q] = dc_new * g * i * (1.0 - i)
+            d[:, q : 2 * q] = dc_new * c_prev[t] * f * (1.0 - f)
+            d[:, 2 * q : 3 * q] = dh_new * tanh_c[t] * o * (1.0 - o)
+            d[:, 3 * q :] = dc_new * i * (1.0 - g * g)
+            dc = dc_new * f + dc * ~m
+            dh = d @ Wh.data.T + dh * ~m
+        flat = dgates.reshape(length * batch, 4 * q)
+        return (
+            flat if xw.requires_grad else None,
+            h_prev.reshape(length * batch, q).T @ flat if Wh.requires_grad else None,
+            dh if h0.requires_grad else None,
+            dc if c0.requires_grad else None,
+        )
+
+    return _emit("lstm", (H.transpose(1, 0, 2), h, c), (xw, Wh, h0, c0), vjp)
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -298,23 +351,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         )
 
     return _emit("concat", out, tuple(tensors), vjp)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    dim = x.data.shape[axis]
-    if not (0 <= start and start + length <= dim):
-        raise ShapeError(f"slice [{start}:{start + length}) out of range for axis {axis} of {x.shape}")
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = x.data[index].copy()
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        return (full,)
-
-    return _emit("slice", out, (x,), vjp)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -428,21 +464,6 @@ def bmm_context(weights: Tensor, values: Tensor) -> Tensor:
         )
 
     return _emit("bmm_context", out, (weights, values), vjp)
-
-
-def stack_steps(steps: Sequence[Tensor]) -> Tensor:
-    """Stack L tensors of shape (B,K) into (B,L,K)."""
-    if not steps:
-        raise ShapeError("stack_steps of no tensors")
-    shape = steps[0].shape
-    if any(t.shape != shape for t in steps):
-        raise ShapeError(f"stack_steps: mixed shapes {[t.shape for t in steps]}")
-    out = np.stack([t.data for t in steps], axis=1)
-
-    def vjp(g):
-        return tuple(g[:, j, :] if t.requires_grad else None for j, t in enumerate(steps))
-
-    return _emit("stack_steps", out, tuple(steps), vjp)
 
 
 # ---------------------------------------------------------------------------

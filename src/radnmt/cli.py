@@ -28,9 +28,8 @@ from .corpus import (
     build_vocab,
     encode_corpus,
     read_parallel,
-    read_utf8,
 )
-from .errors import DataError, NumericError, RadnmtError, UsageError
+from .errors import DataError, NumericError, RadnmtError, UsageError, read_utf8
 from .evaluation import TOKENIZATIONS, evaluate
 from .decoding import translate_file
 from .model import ModelConfig, ModelParams, forward_loss, load_checkpoint
@@ -69,8 +68,7 @@ PROFILES = {
 def load_config(path) -> dict:
     """Parse a flat key=value file against the schema."""
     values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

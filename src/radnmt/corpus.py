@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .radicals import RadicalTable
 from .seeding import derive_rng
 
@@ -70,24 +70,26 @@ class Vocab:
     @classmethod
     def load(cls, path) -> "Vocab":
         chars: list[str] = []
-        with Path(path).open(encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t", 1)
-                if len(fields) != 2:
-                    raise DataError(f"{path}:{lineno}: expected id<TAB>char")
-                ident, token = int(fields[0]), fields[1]
-                if ident < N_RESERVED:
-                    if token != RESERVED[ident]:
-                        raise DataError(
-                            f"{path}:{lineno}: reserved id {ident} must be {RESERVED[ident]}"
-                        )
-                    continue
-                if ident != N_RESERVED + len(chars):
-                    raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
-                chars.append(token)
+        for lineno, line in enumerate(read_utf8(path).split("\n"), 1):  # save() writes "\n" only
+            if not line:
+                continue
+            fields = line.split("\t", 1)
+            if len(fields) != 2:
+                raise DataError(f"{path}:{lineno}: expected id<TAB>char")
+            ident_text, token = fields
+            try:
+                ident = int(ident_text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: id {ident_text!r} is not an integer") from None
+            if ident in RESERVED:
+                if token != RESERVED[ident]:
+                    raise DataError(
+                        f"{path}:{lineno}: reserved id {ident} must be {RESERVED[ident]}"
+                    )
+                continue
+            if ident != N_RESERVED + len(chars):
+                raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
+            chars.append(token)
         return cls(chars)
 
 
@@ -106,15 +108,6 @@ def build_vocab(sentences, min_count: int = 1, max_size: int | None = None) -> V
     if max_size is not None:
         admitted = admitted[: max(0, max_size - N_RESERVED)]
     return Vocab(admitted)
-
-
-def read_utf8(path) -> str:
-    """A whole text file; bytes that are not UTF-8 raise DataError."""
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
 
 
 def read_parallel(src_path, tgt_path) -> list[tuple[str, str]]:

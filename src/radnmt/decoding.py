@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import BOS, EOS, PAD, EOS_FEATURE, Vocab, read_utf8
-from .errors import DataError, RadnmtError
+from .corpus import BOS, EOS, PAD, EOS_FEATURE, Vocab
+from .errors import DataError, RadnmtError, read_utf8
 from .model import Annotations, ModelParams, decode_step, encode, init_decoder_state
 from .radicals import RadicalTable
 

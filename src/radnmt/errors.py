@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one UTF-8 reader.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 NumericError -> 3.
 """
+
+from pathlib import Path
 
 
 class RadnmtError(Exception):
@@ -35,3 +37,12 @@ class TapeError(UsageError):
 
 class ContractError(RadnmtError):
     """A caller violated an operation's documented precondition."""
+
+
+def read_utf8(path) -> str:
+    """A whole text file; bytes that are not UTF-8 raise DataError."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc

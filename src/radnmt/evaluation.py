@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Vocab, encode_corpus, read_parallel
-from .decoding import translate_file
+from .decoding import translate_line
 from .errors import DataError
 from .model import ModelParams
 from .radicals import RadicalTable
@@ -116,21 +116,10 @@ def evaluate(
     examples = encode_corpus(pairs, src_vocab, tgt_vocab, table, max_chars=None)
     ppl = perplexity(params, examples, batch_size)
 
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        hyp_path = out_dir / "hypotheses.txt"
-    else:
-        import os
-        import tempfile
-
-        fd, name = tempfile.mkstemp(suffix=".hyp")
-        os.close(fd)
-        hyp_path = Path(name)
-    translate_file(
-        params, table, src_vocab, tgt_vocab, src_path, hyp_path, beam_size, max_len
-    )
-    hypotheses = hyp_path.read_text(encoding="utf-8").splitlines()
+    hypotheses = [
+        translate_line(params, table, src_vocab, tgt_vocab, src, beam_size, max_len)
+        for src, _ in pairs
+    ]
     references = [tgt for _, tgt in pairs]
     report = bleu(hypotheses, references, tokenization=tokenization, smoothing=smoothing)
     result = {
@@ -143,7 +132,10 @@ def evaluate(
         "tokenization": tokenization,
         "sentences": len(pairs),
     }
-    if out_dir:
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "hypotheses.txt").write_text("".join(h + "\n" for h in hypotheses), encoding="utf-8")
         metrics = out_dir / "metrics.tsv"
         with metrics.open("w", encoding="utf-8") as f:
             f.write("metric\tvalue\n")
@@ -159,6 +151,4 @@ def evaluate(
         with (out_dir / "examples.txt").open("w", encoding="utf-8") as f:
             for (src, ref), hyp in zip(pairs, hypotheses):
                 f.write(f"SRC: {src}\nREF: {ref}\nHYP: {hyp}\n\n")
-    else:
-        hyp_path.unlink(missing_ok=True)
     return result

@@ -190,21 +190,9 @@ def embed_with_features(char_ids: np.ndarray, feat_ids: np.ndarray | None, char_
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """Standard LSTM step. Gate layout along the 4q axis: [i | f | o | g]."""
-    q = h_prev.shape[1]
-    gates = ad.add(ad.add(ad.matmul(x, Wx), ad.matmul(h_prev, Wh)), b)
-    i = ad.sigmoid(ad.slice_axis(gates, 1, 0, q))
-    f = ad.sigmoid(ad.slice_axis(gates, 1, q, q))
-    o = ad.sigmoid(ad.slice_axis(gates, 1, 2 * q, q))
-    g = ad.tanh(ad.slice_axis(gates, 1, 3 * q, q))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
+    """One LSTM step: ad.lstm over a single position. Gate layout [i | f | o | g]."""
+    _, h, c = ad.lstm(ad.add(ad.matmul(x, Wx), b), Wh, h_prev, c_prev)
     return h, c
-
-
-def _mask_carry(new: Tensor, prev: Tensor, keep_col: Tensor, drop_col: Tensor) -> Tensor:
-    # h <- m * h_new + (1-m) * h_prev, so PAD steps carry state through
-    return ad.add(ad.mul(new, keep_col), ad.mul(prev, drop_col))
 
 
 def _zeros(batch: int, dim: int) -> Tensor:
@@ -230,36 +218,25 @@ def encode(
     """Bidirectional encoding; masked positions carry state unchanged."""
     if src.ndim != 2 or src.shape[1] == 0:
         raise DataError(f"encode needs a (B, L>=1) id grid, got {src.shape}")
-    batch, length = src.shape
-    q = params.config.hidden_size
+    batch, q = src.shape[0], params.config.hidden_size
     drop_p = (params.config.dropout if dropout is None else dropout) if train else 0.0
-    char_emb = params["src_char_emb"]
-    feat_emb = params["src_feat_emb"] if params.feature_path else None
-
-    embedded = []
-    for j in range(length):
-        x = embed_with_features(src[:, j], None if feats is None else feats[:, j], char_emb, feat_emb)
-        embedded.append(_maybe_dropout(x, drop_p, rng))
-
-    maskf = src_mask.astype(np.float64)
-    keep = [Tensor(maskf[:, j : j + 1]) for j in range(length)]
-    drop = [Tensor(1.0 - maskf[:, j : j + 1]) for j in range(length)]
-
-    def run(direction: str, order):
-        Wx, Wh, b = params[f"enc_{direction}_Wx"], params[f"enc_{direction}_Wh"], params[f"enc_{direction}_b"]
-        h, c = _zeros(batch, q), _zeros(batch, q)
-        states: list[Tensor | None] = [None] * length
-        for j in order:
-            h_new, c_new = lstm_cell(embedded[j], h, c, Wx, Wh, b)
-            h = _mask_carry(h_new, h, keep[j], drop[j])
-            c = _mask_carry(c_new, c, keep[j], drop[j])
-            states[j] = h
-        return states, h, c
-
-    fwd, _, _ = run("fwd", range(length))
-    bwd, bwd_h, bwd_c = run("bwd", range(length - 1, -1, -1))
-    vectors = ad.stack_steps([ad.concat([fwd[j], bwd[j]], axis=1) for j in range(length)])
-    return Annotations(vectors, src_mask, bwd_h, bwd_c)
+    # time-major rows: row j*B + b is position j of sentence b
+    x = embed_with_features(
+        src.T.reshape(-1),
+        None if feats is None else feats.T.reshape(-1),
+        params["src_char_emb"],
+        params["src_feat_emb"] if params.feature_path else None,
+    )
+    x = _maybe_dropout(x, drop_p, rng)
+    zeros = _zeros(batch, q)
+    (fwd, _, _), (bwd, bwd_h, bwd_c) = (
+        ad.lstm(
+            ad.add(ad.matmul(x, params[f"enc_{d}_Wx"]), params[f"enc_{d}_b"]),
+            params[f"enc_{d}_Wh"], zeros, zeros, src_mask, reverse=d == "bwd",
+        )
+        for d in ("fwd", "bwd")
+    )
+    return Annotations(ad.concat([fwd, bwd], axis=2), src_mask, bwd_h, bwd_c)
 
 
 def init_decoder_state(ann: Annotations, params: ModelParams) -> tuple[Tensor, Tensor]:

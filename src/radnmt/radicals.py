@@ -21,13 +21,14 @@ corpora annotate cleanly.
 
 from __future__ import annotations
 
+import io
 import logging
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 log = logging.getLogger(__name__)
 
@@ -165,7 +166,7 @@ def load_radical_table(han_path, kana_path) -> RadicalTable:
     """
     han_path, kana_path = Path(han_path), Path(kana_path)
     han_map: dict[int, int] = {}
-    for lineno, raw in enumerate(han_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(han_path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -182,7 +183,7 @@ def load_radical_table(han_path, kana_path) -> RadicalTable:
         han_map[cp] = index
 
     kana_map: dict[int, tuple[int, int]] = {}
-    for lineno, raw in enumerate(kana_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(kana_path).splitlines(), 1):
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
@@ -245,11 +246,9 @@ def annotate_file(table: RadicalTable, input_path, output_path) -> int:
 
     Returns the number of lines written.
     """
-    input_path, output_path = Path(input_path), Path(output_path)
+    src = io.StringIO(read_utf8(input_path), newline=None)  # universal newlines, as open()
     count = 0
-    with input_path.open(encoding="utf-8") as src, output_path.open(
-        "w", encoding="utf-8"
-    ) as dst:
+    with Path(output_path).open("w", encoding="utf-8") as dst:
         for line in src:
             text = line.rstrip("\n")
             pairs = " ".join(f"{ch}|{table.radical_of(ch)}" for ch in text)

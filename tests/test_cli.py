@@ -224,15 +224,55 @@ def test_truncated_checkpoint_is_data_error(end, trained_dir, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["build-vocab", "translate"])
+@pytest.mark.parametrize(
+    "command",
+    ["build-vocab", "translate", "annotate", "train-config", "translate-src-vocab",
+     "translate-han-table", "vocab-id"],
+)
 def test_non_utf8_input_is_data_error(command, trained_dir, tmp_path, capsys):
-    inp = tmp_path / "in.txt"
-    inp.write_bytes(b"\xff\xfe\x00a\n")
-    args = [command, "--input", str(inp), "--output", str(tmp_path / "out.txt")]
-    if command == "translate":
-        args += ["--model", str(sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1])]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00a\n")
+    good = tmp_path / "in.txt"
+    good.write_text("鉄の実験。\n", encoding="utf-8")
+    out = str(tmp_path / "out.txt")
+    # a model directory whose src_vocab.tsv the case may replace
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    model = model_dir / "model.rnmt"
+    model.write_bytes(sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1].read_bytes())
+    for name in ("src_vocab.tsv", "tgt_vocab.tsv"):
+        (model_dir / name).write_bytes((trained_dir / name).read_bytes())
+    if command == "translate-src-vocab":
+        (model_dir / "src_vocab.tsv").write_bytes(bad.read_bytes())
+    if command == "vocab-id":
+        (model_dir / "src_vocab.tsv").write_text("x\ta\n", encoding="utf-8")
+    translate = ["translate", "--model", str(model), "--output", out, "--input"]
+    args = {
+        "build-vocab": ["build-vocab", "--input", str(bad), "--output", out],
+        "translate": translate + [str(bad)],
+        "annotate": ["annotate", "--input", str(bad), "--output", out],
+        "train-config": ["train", "--config", str(bad), "--train-src", str(good), "--train-tgt", str(good),
+                         "--dev-src", str(good), "--dev-tgt", str(good), "--out", str(tmp_path / "run")],
+        "translate-src-vocab": translate + [str(good)],
+        "translate-han-table": translate + [str(good), "--han-table", str(bad)],
+        "vocab-id": translate + [str(good)],
+    }[command]
     assert dispatch(args) == 2
-    assert "invalid UTF-8" in capsys.readouterr().err
+    assert ("is not an integer" if command == "vocab-id" else "invalid UTF-8") in capsys.readouterr().err
+
+
+def test_eval_source_with_lone_cr(trained_dir, tmp_path):
+    # read_parallel splits on "\n" only, so the "\r" stays inside the one source line
+    src, ref = tmp_path / "src.txt", tmp_path / "ref.txt"
+    src.write_bytes("鉄の\r実験\n".encode("utf-8"))
+    ref.write_text("铁的实验\n", encoding="utf-8")
+    model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
+    out = tmp_path / "report"
+    code = dispatch([
+        "eval", "--model", str(model), "--src", str(src), "--ref", str(ref), "--beam", "1", "--out", str(out),
+    ])
+    assert code == 0
+    assert (out / "hypotheses.txt").read_text(encoding="utf-8").count("\n") == 1
 
 
 def test_train_seed_env_fallback(tmp_path, monkeypatch):
