@@ -112,35 +112,35 @@ class Tape:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate .grad on every requires_grad leaf reachable from loss.
+    """Add d loss / d leaf into .grad of every requires_grad leaf reachable from loss.
 
-    Gradients accumulate: callers zero them between steps. Calling twice
-    on the same tape therefore doubles every gradient. An output of a
-    multi-output op that the loss does not reach gets a zero gradient.
+    Leaf gradients are added in place as the records are replayed; an op
+    output's are summed until its own record is. Callers zero gradients
+    between steps, so calling twice on the same tape doubles them. An
+    output of a multi-output op that the loss does not reach gets a zero
+    gradient.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     produced = {id(out) for rec in tape._records for out in rec.outputs}
-    seen: dict[int, Tensor] = {id(loss): loss}
+    flowing: dict[int, np.ndarray] = {}
+
+    def send(tensor: Tensor, grad: np.ndarray) -> None:
+        key = id(tensor)
+        if key in produced:
+            flowing[key] = flowing[key] + grad if key in flowing else grad
+        elif tensor.requires_grad:
+            tensor.accumulate_grad(grad)
+
+    send(loss, np.ones_like(loss.data))
     for rec in reversed(tape._records):
         gs = [flowing.pop(id(out), None) for out in rec.outputs]
         if all(g is None for g in gs):
             continue
         gs = [np.zeros_like(out.data) if g is None else g for out, g in zip(rec.outputs, gs)]
         for tensor, grad in zip(rec.inputs, rec.vjp(*gs)):
-            if grad is None:
-                continue
-            key = id(tensor)
-            if key in flowing:
-                flowing[key] = flowing[key] + grad
-            else:
-                flowing[key] = grad
-            seen[key] = tensor
-    for key, grad in flowing.items():
-        tensor = seen[key]
-        if tensor.requires_grad and key not in produced:
-            tensor.accumulate_grad(np.asarray(grad, dtype=np.float64))
+            if grad is not None:
+                send(tensor, grad)
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
@@ -185,24 +185,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; also accepts a 1-D bias broadcast over 2-D rows."""
-    if a.shape == b.shape:
-        out = a.data + b.data
-
-        def vjp(g):
-            return (g if a.requires_grad else None, g if b.requires_grad else None)
-
-    elif a.data.ndim == 2 and b.data.ndim == 1 and b.shape[0] == a.shape[1]:
-        out = a.data + b.data
-
-        def vjp(g):
-            return (
-                g if a.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None,
-            )
-
-    else:
+    """A 1-D bias b broadcast over the rows of a 2-D a."""
+    if a.data.ndim != 2 or b.data.ndim != 1 or b.shape[0] != a.shape[1]:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
+    out = a.data + b.data
+
+    def vjp(g):
+        return (
+            g if a.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+
     return _emit("add", out, (a, b), vjp)
 
 
@@ -229,15 +222,6 @@ def tanh(x: Tensor) -> Tensor:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-log(1 + e^-z)) is overflow-free on both tails
     return np.exp(-np.logaddexp(0.0, -z))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
-
-    def vjp(g):
-        return (out * (1.0 - out) * g,)
-
-    return _emit("sigmoid", out, (x,), vjp)
 
 
 def lstm(xw: Tensor, Wh: Tensor, h0: Tensor, c0: Tensor, mask=None, reverse: bool = False):

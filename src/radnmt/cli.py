@@ -50,8 +50,6 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "clip": (float, 1.0),
     "batch": (int, 10),
     "epochs": (int, 30),
-    "beam": (int, 5),
-    "length_norm": (float, 0.0),
     "min_count": (int, 1),
     "max_size": (int, 0),  # 0 = unlimited
     "max_src_len": (int, 400),
@@ -137,6 +135,13 @@ def write_run_manifest(target, command: str, config: dict, seed: int, inputs: di
     return target
 
 
+def positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid positive_int
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1 here
         raise UsageError(f"{message}\n{self.format_usage()}")
@@ -188,8 +193,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--beam", type=positive_int, default=5)
+    p.add_argument("--max-len", type=positive_int, default=None)
     p.add_argument("--length-norm", type=float, default=0.0)
     p.add_argument("--unk-token", default="〓")
 
@@ -199,7 +204,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--src", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--tokenization", choices=TOKENIZATIONS, default="char")
-    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--beam", type=positive_int, default=5)
     p.add_argument("--smoothing", action="store_true")
     p.add_argument("--out", default=None, help="directory for metrics/examples files")
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import BOS, EOS, PAD, EOS_FEATURE, Vocab
+from .corpus import BOS, EOS, PAD, Vocab, encode_pair
 from .errors import DataError, RadnmtError, read_utf8
 from .model import Annotations, ModelParams, decode_step, encode, init_decoder_state
 from .radicals import RadicalTable
@@ -75,6 +75,8 @@ def beam_search(
         raise DataError(f"beam_size must be >= 1, got {beam_size}")
     if max_len is None:
         max_len = default_max_len(len(src_ids))
+    if max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
     src = src_ids[None, :]
     feats = None if feat_ids is None else np.asarray(feat_ids, dtype=np.int64)[None, :]
     mask = np.ones_like(src, dtype=bool)
@@ -129,9 +131,8 @@ def translate_line(
     length_alpha: float = 0.0,
     unk_token: str = DEFAULT_UNK_TOKEN,
 ) -> str:
-    src_ids = np.array(src_vocab.encode(line) + [EOS], dtype=np.int64)
-    feats = np.array(table.annotate(line) + [EOS_FEATURE], dtype=np.int64)
-    best = beam_search(params, src_ids, feats, beam_size, max_len, length_alpha)[0]
+    pair = encode_pair(line, "", src_vocab, tgt_vocab, table)
+    best = beam_search(params, pair.src_ids, pair.src_feats, beam_size, max_len, length_alpha)[0]
     return tgt_vocab.decode(best.tokens, unk_token=unk_token)
 
 

@@ -140,9 +140,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def named(self):
         return self._tensors.items()
 
@@ -211,15 +208,13 @@ def encode(
     feats: np.ndarray | None,
     src_mask: np.ndarray,
     params: ModelParams,
-    train: bool = False,
-    dropout: float | None = None,
+    drop_p: float = 0.0,
     rng=None,
 ) -> Annotations:
     """Bidirectional encoding; masked positions carry state unchanged."""
     if src.ndim != 2 or src.shape[1] == 0:
         raise DataError(f"encode needs a (B, L>=1) id grid, got {src.shape}")
     batch, q = src.shape[0], params.config.hidden_size
-    drop_p = (params.config.dropout if dropout is None else dropout) if train else 0.0
     # time-major rows: row j*B + b is position j of sentence b
     x = embed_with_features(
         src.T.reshape(-1),
@@ -261,27 +256,40 @@ def attention(state_h: Tensor, ann: Annotations, params: ModelParams) -> tuple[T
     return context, weights
 
 
-def decode_step(
+def advance_decoder(
     y_prev: np.ndarray,
     h_tilde_prev: Tensor,
     state: tuple[Tensor, Tensor],
     ann: Annotations,
     params: ModelParams,
-    train: bool = False,
-    dropout: float | None = None,
-    rng=None,
-) -> tuple[Tensor, tuple[Tensor, Tensor], Tensor]:
-    """One decoder step with input feeding; returns (logits, state, h~)."""
-    drop_p = (params.config.dropout if dropout is None else dropout) if train else 0.0
+    drop_p: float,
+    rng,
+) -> tuple[tuple[Tensor, Tensor], Tensor]:
+    """A decoder step up to the dropped-out h~, with input feeding; returns (state, h~)."""
     emb = ad.embedding_lookup(params["tgt_char_emb"], y_prev)
     emb = _maybe_dropout(emb, drop_p, rng)
     x = ad.concat([emb, h_tilde_prev], axis=1)  # input feeding
     h, c = lstm_cell(x, state[0], state[1], params["dec_Wx"], params["dec_Wh"], params["dec_b"])
     context, _ = attention(h, ann, params)
     h_tilde = ad.tanh(ad.matmul(ad.concat([h, context], axis=1), params["attn_out_W"]))
-    h_tilde = _maybe_dropout(h_tilde, drop_p, rng)
-    logits = ad.add(ad.matmul(h_tilde, params["out_W"]), params["out_b"])
-    return logits, (h, c), h_tilde
+    return (h, c), _maybe_dropout(h_tilde, drop_p, rng)
+
+
+def output_logits(h_tilde: Tensor, params: ModelParams) -> Tensor:
+    """Target-vocabulary logits of any number of h~ rows."""
+    return ad.add(ad.matmul(h_tilde, params["out_W"]), params["out_b"])
+
+
+def decode_step(
+    y_prev: np.ndarray,
+    h_tilde_prev: Tensor,
+    state: tuple[Tensor, Tensor],
+    ann: Annotations,
+    params: ModelParams,
+) -> tuple[Tensor, tuple[Tensor, Tensor], Tensor]:
+    """One decoder step without dropout, as decoding runs it; returns (logits, state, h~)."""
+    state, h_tilde = advance_decoder(y_prev, h_tilde_prev, state, ann, params, 0.0, None)
+    return output_logits(h_tilde, params), state, h_tilde
 
 
 def forward_loss(
@@ -293,21 +301,21 @@ def forward_loss(
 ) -> tuple[Tensor, int]:
     """Teacher-forced NLL summed over real target positions.
 
-    BOS is never predicted; EOS is. Returns (total NLL, token count).
+    BOS is never predicted; EOS is. One projection and one masked_nll
+    cover the h~ of every step. Returns (total NLL, token count).
     """
-    ann = encode(batch.src, batch.feats, batch.src_mask, params, train, dropout, rng)
+    drop_p = (params.config.dropout if dropout is None else dropout) if train else 0.0
+    ann = encode(batch.src, batch.feats, batch.src_mask, params, drop_p, rng)
     state = init_decoder_state(ann, params)
     h_tilde = _zeros(batch.size, params.config.hidden_size)
-    total: Tensor | None = None
-    steps = batch.tgt.shape[1] - 1
-    for t in range(steps):
-        logits, state, h_tilde = decode_step(
-            batch.tgt[:, t], h_tilde, state, ann, params, train, dropout, rng
-        )
-        nll = ad.masked_nll(logits, batch.tgt[:, t + 1], batch.tgt_mask[:, t + 1])
-        total = nll if total is None else ad.add(total, nll)
-    count = int(batch.tgt_mask[:, 1:].sum())
-    return total, count
+    h_tildes = []
+    for t in range(batch.tgt.shape[1] - 1):
+        state, h_tilde = advance_decoder(batch.tgt[:, t], h_tilde, state, ann, params, drop_p, rng)
+        h_tildes.append(h_tilde)
+    logits = output_logits(ad.concat(h_tildes, axis=0), params)
+    # row t*B + b of logits predicts tgt[b, t + 1]
+    total = ad.masked_nll(logits, batch.tgt[:, 1:].T.reshape(-1), batch.tgt_mask[:, 1:].T.reshape(-1))
+    return total, int(batch.tgt_mask[:, 1:].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ def test_matmul_identity():
 
 def test_tanh_sigmoid_at_zero():
     assert ad.tanh(ad.Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
-    assert ad.sigmoid(ad.Tensor(np.zeros(3))).data.tolist() == [0.5, 0.5, 0.5]
 
 
 def test_masked_nll_uniform_logits():
@@ -222,8 +221,8 @@ def _op_cases(rng):
     lstm_mask = np.array([[True, True, False], [True, False, True]])
     per_step = ad.Tensor(rng.normal(size=(2, 3)))
 
-    def lstm_loss(reverse):
-        H, h, c = ad.lstm(xw, Wh, h0, c0, lstm_mask, reverse)
+    def lstm_loss(reverse, c_init=c0):
+        H, h, c = ad.lstm(xw, Wh, h0, c_init, lstm_mask, reverse)
         return weighted(ad.concat([ad.bmm_context(per_step, H), h, c], axis=1))
 
     logits = T(rng, 3, 5)
@@ -233,11 +232,9 @@ def _op_cases(rng):
     sm_mask = np.array([[True, False, True, True]] * 3)
     return [
         ("matmul", lambda: weighted(ad.matmul(a, b)), [a, b]),
-        ("add", lambda: weighted(ad.add(x, y)), [x, y]),
         ("add_bias", lambda: weighted(ad.add(x, bias)), [x, bias]),
         ("mul", lambda: weighted(ad.mul(x, ad.mul(y, mix))), [x, y]),
         ("tanh", lambda: weighted(ad.tanh(x)), [x]),
-        ("sigmoid", lambda: weighted(ad.sigmoid(x)), [x]),
         ("softmax", lambda: weighted(ad.softmax(x)), [x]),
         ("softmax_masked", lambda: weighted(ad.softmax(x, mask=sm_mask)), [x]),
         ("concat", lambda: weighted(ad.concat([x, y], axis=1)), [x, y]),
@@ -248,6 +245,8 @@ def _op_cases(rng):
         ("bmm_context", lambda: total(ad.bmm_context(w2, k3)), [w2, k3]),
         ("lstm", lambda: lstm_loss(False), [xw, Wh, h0, c0]),
         ("lstm_reverse", lambda: lstm_loss(True), [xw, Wh, h0, c0]),
+        # one leaf as both h0 and c0: two gradients for it from one record
+        ("lstm_shared_init", lambda: lstm_loss(False, c_init=h0), [xw, Wh, h0]),
     ]
 
 

@@ -85,7 +85,6 @@ def test_empty_config_gives_full_scale_defaults(tmp_path):
     assert merged["hidden"] == 512
     assert merged["char_embed"] + merged["feat_embed"] == 512
     assert merged["batch"] == 10
-    assert merged["beam"] == 5
     assert merged["lr"] == 1.0
     assert merged["clip"] == 1.0
     assert merged["dropout"] == 0.8
@@ -116,7 +115,7 @@ def test_profile_between_defaults_and_file():
         resolve_config(None, {}, "huge")
 
 
-_KEYS = ["hidden", "dropout", "lr", "batch", "beam"]
+_KEYS = ["hidden", "dropout", "lr", "batch", "epochs"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,6 +177,32 @@ def test_translate_cli(trained_dir, tmp_path):
     ])
     assert code == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, source",
+    [
+        (["translate", "--beam", "0"], "鉄の実験。\n"),
+        (["translate", "--beam", "0"], ""),
+        (["translate", "--max-len", "0"], "鉄の実験。\n"),
+        (["translate", "--max-len", "-2"], "鉄の実験。\n"),
+        (["eval", "--beam", "0"], "鉄の実験。\n"),
+    ],
+    ids=["beam-0", "beam-0-empty-input", "max-len-0", "max-len-neg", "eval-beam-0"],
+)
+def test_count_flags_below_one_are_usage_errors(flags, source, trained_dir, tmp_path, capsys):
+    model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
+    src, ref, out = tmp_path / "in.txt", tmp_path / "ref.txt", tmp_path / "out.txt"
+    src.write_text(source, encoding="utf-8")
+    ref.write_text("铁的实验。\n", encoding="utf-8")
+    files = {
+        "translate": ["--input", str(src), "--output", str(out)],
+        "eval": ["--src", str(src), "--ref", str(ref), "--out", str(tmp_path / "report")],
+    }[flags[0]]
+    assert dispatch(flags + ["--model", str(model)] + files) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"{flags[1]}: expected an integer >= 1" in err
+    assert not out.exists()
 
 
 def test_eval_cli(trained_dir, tmp_path, capsys):

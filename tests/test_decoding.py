@@ -51,6 +51,12 @@ def test_empty_source_raises():
         beam_search(params, np.array([], dtype=np.int64), None)
 
 
+@pytest.mark.parametrize("beam_size, max_len", [(0, None), (5, 0), (5, -2)])
+def test_beam_size_and_max_len_below_one_raise(beam_size, max_len):
+    with pytest.raises(DataError, match=">= 1"):
+        beam_search(_rand_model(0), np.array([4, EOS]), np.array([1, 0]), beam_size, max_len)
+
+
 def test_pad_and_bos_never_emitted():
     for seed in range(10):
         params = _rand_model(seed)

@@ -7,7 +7,7 @@ import pytest
 import radnmt
 from radnmt import autodiff as ad
 from radnmt.autodiff import Tensor
-from radnmt.corpus import Batch
+from radnmt.corpus import BOS, EOS, Batch, ExamplePair, make_batches
 from radnmt.errors import ConfigError, ContractError, DataError
 from radnmt.model import (
     Annotations,
@@ -24,7 +24,7 @@ from radnmt.model import (
 )
 from radnmt.seeding import derive_rng
 
-from conftest import tiny_batch, tiny_config
+from conftest import replay_score, tiny_batch, tiny_config
 
 
 def test_config_validation():
@@ -106,12 +106,12 @@ def test_lstm_grad_check():
     Wx = Tensor(rng.uniform(-0.5, 0.5, size=(p, 4 * q)), requires_grad=True)
     Wh = Tensor(rng.uniform(-0.5, 0.5, size=(q, 4 * q)), requires_grad=True)
     b = Tensor(rng.uniform(-0.5, 0.5, size=4 * q), requires_grad=True)
-    weight = Tensor(rng.normal(size=(2, q)))
+    weight = Tensor(rng.normal(size=(2, 2 * q)))
 
     def f():
         h, c = lstm_cell(x, h0, c0, Wx, Wh, b)
-        mixed = ad.mul(ad.add(h, c), weight)
-        return ad.matmul(ad.matmul(Tensor(np.ones((1, 2))), mixed), Tensor(np.ones((q, 1))))
+        mixed = ad.mul(ad.concat([h, c], axis=1), weight)
+        return ad.matmul(ad.matmul(Tensor(np.ones((1, 2))), mixed), Tensor(np.ones((2 * q, 1))))
 
     assert ad.grad_check(f, [Wx, Wh, b]) <= 1e-4
 
@@ -254,6 +254,27 @@ def test_forward_loss_batch_equals_sum_of_singles():
         single_count += count_i
     assert count == single_count
     assert total.item() == pytest.approx(single_sum, abs=1e-10)
+
+
+def test_forward_loss_equals_per_step_replay():
+    # one projection and one masked_nll over all steps of a ragged batch,
+    # against decode_step's logits scored one sentence and one step at a time
+    params = ModelParams.initialize(tiny_config(), seed=12, init_low=-0.5, init_high=0.5)
+    rng = derive_rng(13, "ragged")
+    examples = [
+        ExamplePair(
+            np.append(rng.integers(4, 8, size=n_src), EOS),
+            np.append(rng.integers(1, 8, size=n_src), 0),
+            np.concatenate([[BOS], rng.integers(4, 8, size=n_tgt), [EOS]]),
+        )
+        for n_src, n_tgt in [(1, 4), (3, 0), (5, 2), (2, 6)]
+    ]
+    (batch,) = make_batches(examples, batch_size=4)
+    assert not batch.src_mask.all() and not batch.tgt_mask.all()
+    loss, count = forward_loss(batch, params)
+    expected = -sum(replay_score(params, e.src_ids, e.src_feats, e.tgt_ids[1:]) for e in examples)
+    assert count == sum(len(e.tgt_ids) - 1 for e in examples)
+    assert abs(loss.item() - expected) <= 1e-12 * abs(expected)
 
 
 def test_forward_loss_padding_invariance():
