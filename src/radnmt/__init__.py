@@ -33,14 +33,12 @@ from .model import (
     Annotations,
     ModelConfig,
     ModelParams,
-    attention,
     decode_step,
     embed_with_features,
     encode,
     forward_loss,
     init_decoder_state,
     load_checkpoint,
-    lstm_cell,
     save_checkpoint,
 )
 from .radicals import (

@@ -3,12 +3,13 @@
 Ops executed while a Tape is active are recorded in execution order
 (which is already a topological order); backward() replays the records
 once, in reverse, accumulating vector-Jacobian products. Ops executed
-with no active tape run forward-only, which is what decoding uses.
+with no active tape run forward-only.
 
 Everything is float64. Every op checks its output for NaN/Inf and
-raises NumericError rather than letting poison propagate. lstm runs a
-whole recurrence as one multi-output op (H, h_T, c_T) with a
-hand-derived BPTT VJP; it also checks every step's gate pre-activations.
+raises NumericError rather than letting poison propagate. lstm and the
+attentional decoder each run a whole recurrence as one record with a
+hand-derived BPTT VJP, on one shared LSTM cell; decoder's step is the
+plain-numpy decoder_step, which decoding calls one step at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, TapeError, UsageError
+from .errors import ContractError, NumericError, ShapeError, TapeError, UsageError
 
 _LOCAL = threading.local()
 
@@ -224,6 +225,35 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -z))
 
 
+def _cell(gates: np.ndarray, c: np.ndarray, op: str):
+    """One LSTM step from gate pre-activations [i | f | o | g], checked finite.
+
+    Returns sigmoid(i, f, o) and tanh(g) side by side, the new c, its tanh, and the new h.
+    """
+    _finite_or_raise(gates, op)
+    q = c.shape[1]
+    acts = np.concatenate([_sigmoid(gates[:, : 3 * q]), np.tanh(gates[:, 3 * q :])], axis=1)
+    i, f, o, g = np.split(acts, 4, axis=1)
+    c = f * c + i * g
+    tanh_c = np.tanh(c)
+    return acts, c, tanh_c, o * tanh_c
+
+
+def _cell_vjp(dh, dc, acts, c_prev, tanh_c, dgates) -> np.ndarray:
+    """Backward through one _cell step from the gradients reaching its new h and c.
+
+    Writes the gates' gradient into dgates; returns the one reaching c_prev.
+    """
+    q = dh.shape[1]
+    i, f, o, g = np.split(acts, 4, axis=1)
+    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    dgates[:, :q] = dc * g * i * (1.0 - i)
+    dgates[:, q : 2 * q] = dc * c_prev * f * (1.0 - f)
+    dgates[:, 2 * q : 3 * q] = dh * tanh_c * o * (1.0 - o)
+    dgates[:, 3 * q :] = dc * i * (1.0 - g * g)
+    return dc * f
+
+
 def lstm(xw: Tensor, Wh: Tensor, h0: Tensor, c0: Tensor, mask=None, reverse: bool = False):
     """A whole LSTM recurrence as one op; returns (H (B,L,q), h_T, c_T).
 
@@ -248,32 +278,18 @@ def lstm(xw: Tensor, Wh: Tensor, h0: Tensor, c0: Tensor, mask=None, reverse: boo
     h_prev, c_prev, tanh_c, H = (np.empty((length, batch, q)) for _ in range(4))
     h, c = h0.data, c0.data
     for t in order:
-        gates = xw3[t] + h @ Wh.data
-        _finite_or_raise(gates, "lstm")
-        acts[t, :, : 3 * q] = _sigmoid(gates[:, : 3 * q])
-        acts[t, :, 3 * q :] = np.tanh(gates[:, 3 * q :])
-        i, f, o, g = np.split(acts[t], 4, axis=1)
         h_prev[t], c_prev[t] = h, c
-        c_new = f * c + i * g
-        tanh_c[t] = np.tanh(c_new)
-        H[t] = h = np.where(keep[t], o * tanh_c[t], h)
+        acts[t], c_new, tanh_c[t], h_new = _cell(xw3[t] + h @ Wh.data, c, "lstm")
+        H[t] = h = np.where(keep[t], h_new, h)
         c = np.where(keep[t], c_new, c)
 
     def vjp(dH, dh, dc):
         dgates = np.empty_like(acts)
         for t in reversed(order):
-            i, f, o, g = np.split(acts[t], 4, axis=1)
             m = keep[t]
             dh = dh + dH[:, t]
-            dh_new, dc_new = dh * m, dc * m
-            dc_new = dc_new + dh_new * o * (1.0 - tanh_c[t] * tanh_c[t])
-            d = dgates[t]
-            d[:, :q] = dc_new * g * i * (1.0 - i)
-            d[:, q : 2 * q] = dc_new * c_prev[t] * f * (1.0 - f)
-            d[:, 2 * q : 3 * q] = dh_new * tanh_c[t] * o * (1.0 - o)
-            d[:, 3 * q :] = dc_new * i * (1.0 - g * g)
-            dc = dc_new * f + dc * ~m
-            dh = d @ Wh.data.T + dh * ~m
+            dc = _cell_vjp(dh * m, dc * m, acts[t], c_prev[t], tanh_c[t], dgates[t]) + dc * ~m
+            dh = dgates[t] @ Wh.data.T + dh * ~m
         flat = dgates.reshape(length * batch, 4 * q)
         return (
             flat if xw.requires_grad else None,
@@ -283,35 +299,6 @@ def lstm(xw: Tensor, Wh: Tensor, h0: Tensor, c0: Tensor, mask=None, reverse: boo
         )
 
     return _emit("lstm", (H.transpose(1, 0, 2), h, c), (xw, Wh, h0, c0), vjp)
-
-
-def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row softmax over the last axis, optionally excluding masked lanes.
-
-    mask is a boolean array of x's shape; False lanes get weight exactly
-    0.0 and receive zero gradient. Uses max-subtraction for stability.
-    """
-    data = x.data
-    if data.ndim not in (1, 2):
-        raise ShapeError(f"softmax expects 1-D or 2-D input, got {x.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != data.shape:
-            raise ShapeError(f"softmax mask shape {mask.shape} != input {data.shape}")
-        if not mask.any(axis=-1).all():
-            raise NumericError("softmax: a row is fully masked")
-        scored = np.where(mask, data, -np.inf)
-    else:
-        scored = data
-    peak = scored.max(axis=-1, keepdims=True)
-    weights = np.exp(scored - peak)
-    out = weights / weights.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return _emit("softmax", out, (x,), vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -380,12 +367,17 @@ def make_dropout_mask(shape, drop_p: float, rng: np.random.Generator):
     return mask, 1.0 / keep
 
 
-def masked_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Sum of -log softmax(logits)[target] over unmasked rows (scalar).
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax of a plain array, through a max-shifted log-sum-exp.
 
-    Computed through a fused log-sum-exp so no explicit probability ever
-    under/overflows.
+    No explicit probability is formed, so nothing under/overflows.
     """
+    stable = logits - logits.max(axis=-1, keepdims=True)
+    return stable - np.log(np.exp(stable).sum(axis=-1, keepdims=True))
+
+
+def masked_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Sum of -log_softmax(logits)[target] over unmasked rows (scalar)."""
     targets = np.asarray(targets)
     maskf = np.asarray(mask, dtype=np.float64)
     n, v = logits.shape if logits.data.ndim == 2 else (None, None)
@@ -396,58 +388,102 @@ def masked_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ShapeError(f"masked_nll: target id outside 0..{v - 1}")
     rows = np.arange(n)
-    peak = logits.data.max(axis=1, keepdims=True)
-    stable = logits.data - peak
-    lse = peak[:, 0] + np.log(np.exp(stable).sum(axis=1))
-    out = np.asarray(((lse - logits.data[rows, targets]) * maskf).sum())
+    logp = log_softmax(logits.data)
+    out = np.asarray((-logp[rows, targets] * maskf).sum())
 
     def vjp(g):
-        probs = np.exp(stable)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = np.exp(logp)
         probs[rows, targets] -= 1.0
         return (probs * maskf[:, None] * float(g),)
 
     return _emit("masked_nll", out, (logits,), vjp)
 
 
-def bmm_scores(query: Tensor, keys: Tensor) -> Tensor:
-    """Per-row dot products: (B,K) x (B,L,K) -> (B,L)."""
-    if (
-        query.data.ndim != 2
-        or keys.data.ndim != 3
-        or query.shape[0] != keys.shape[0]
-        or query.shape[1] != keys.shape[2]
-    ):
-        raise ShapeError(f"bmm_scores: query {query.shape} vs keys {keys.shape}")
-    out = np.einsum("bk,blk->bl", query.data, keys.data)
+def decoder_step(emb, h_tilde, h, c, vectors, mask, Wx, Wh, b, attn_W, attn_out_W):
+    """One step of the attentional decoder with input feeding, in plain numpy.
 
-    def vjp(g):
+    An LSTM cell reads x = [emb; previous h~]. Its new h scores the (B, L, 2q)
+    annotations as (h @ attn_W) . v_j; a softmax over the positions where
+    the (B, L) mask is True weights them into a context c, and
+    h~ = tanh([h; c] @ attn_out_W). Returns ((h, c, h~), what decoder's VJP reads).
+    """
+    if not mask.any(axis=1).all():
+        raise ContractError("decoder: a batch row has no unmasked source position")
+    x = np.concatenate([emb, h_tilde], axis=1)
+    acts, c_new, tanh_c, h_new = _cell(x @ Wx + b + h @ Wh, c, "decoder")
+    proj = h_new @ attn_W
+    scores = np.where(mask, np.einsum("bk,blk->bl", proj, vectors), -np.inf)
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    hc = np.concatenate([h_new, np.einsum("bl,blk->bk", weights, vectors)], axis=1)
+    return (h_new, c_new, np.tanh(hc @ attn_out_W)), (x, h, c, acts, tanh_c, proj, weights, hc)
+
+
+def decoder(
+    emb: Tensor, h0: Tensor, c0: Tensor, vectors: Tensor, mask: np.ndarray,
+    Wx: Tensor, Wh: Tensor, b: Tensor, attn_W: Tensor, attn_out_W: Tensor, feed_keep=None,
+) -> Tensor:
+    """The whole teacher-forced attentional decoder as one op; returns H~ (T*B, q).
+
+    Row t*B + b of emb is the input embedding of step t of batch row b.
+    Each step runs decoder_step from (h0, c0) and a zero h~; its h~, times
+    feed_keep[t] if given (a scaled dropout keep mask, (T, B, q)), is row
+    block t of H~ and the next step's fed-back input. The BPTT VJP runs only data-gradient
+    products in its loop; each weight gets one product over all T*B rows.
+    """
+    batch, q = h0.shape
+    length, p1 = emb.shape[0] // batch, emb.shape[1]
+    src_len = np.shape(mask)[-1]
+    inputs = (emb, h0, c0, vectors, Wx, Wh, b, attn_W, attn_out_W)
+    expected = [(length * batch, p1), (batch, q), (batch, q), (batch, src_len, 2 * q),
+                (p1 + q, 4 * q), (q, 4 * q), (4 * q,), (q, 2 * q), (3 * q, q)]
+    if not length or [t.shape for t in inputs] != expected or np.shape(mask) != (batch, src_len):
+        raise ShapeError(f"decoder: inputs {[t.shape for t in inputs]}, mask {np.shape(mask)}")
+    emb3 = emb.data.reshape(length, batch, p1)
+    keep = np.ones((length, 1, 1)) if feed_keep is None else feed_keep
+    h, c, h_tilde = h0.data, c0.data, np.zeros((batch, q))
+    steps = []
+    for t in range(length):
+        (h, c, u), trace = decoder_step(
+            emb3[t], h_tilde, h, c, vectors.data, mask, *(w.data for w in inputs[4:])
+        )
+        h_tilde = u * keep[t]
+        steps.append((h, u, h_tilde) + trace)
+    H, U, Y, X, H_prev, C_prev, acts, tanh_c, proj, A, HC = map(np.stack, zip(*steps))
+
+    def vjp(dY):
+        dY = dY.reshape(length, batch, q)
+        dgates = np.empty_like(acts)
+        dpre, dctx, dscores, dproj = (np.empty_like(a) for a in (U, proj, A, proj))
+        dh = dc = dfeed = np.zeros((batch, q))
+        for t in reversed(range(length)):
+            dpre[t] = (dY[t] + dfeed) * keep[t] * (1.0 - U[t] * U[t])
+            dhc = dpre[t] @ attn_out_W.data.T
+            dctx[t] = dhc[:, q:]
+            dweights = np.einsum("bk,blk->bl", dctx[t], vectors.data)
+            dscores[t] = A[t] * (dweights - (dweights * A[t]).sum(axis=1, keepdims=True))
+            dproj[t] = np.einsum("bl,blk->bk", dscores[t], vectors.data)
+            dh = dh + dhc[:, :q] + dproj[t] @ attn_W.data.T
+            dc = _cell_vjp(dh, dc, acts[t], C_prev[t], tanh_c[t], dgates[t])
+            dh = dgates[t] @ Wh.data.T
+            dfeed = dgates[t] @ Wx.data[p1:].T
+
+        flat, n = dgates.reshape(length * batch, 4 * q), length * batch
         return (
-            np.einsum("bl,blk->bk", g, keys.data) if query.requires_grad else None,
-            np.einsum("bl,bk->blk", g, query.data) if keys.requires_grad else None,
+            flat @ Wx.data[:p1].T if emb.requires_grad else None,
+            dh if h0.requires_grad else None,
+            dc if c0.requires_grad else None,
+            # d vectors[b] = sum over t of A^T dctx + dscores^T proj, as one batched product
+            np.concatenate([A, dscores]).transpose(1, 2, 0) @ np.concatenate([dctx, proj]).transpose(1, 0, 2)
+            if vectors.requires_grad else None,
+            X.reshape(n, -1).T @ flat if Wx.requires_grad else None,
+            H_prev.reshape(n, q).T @ flat if Wh.requires_grad else None,
+            flat.sum(axis=0) if b.requires_grad else None,
+            H.reshape(n, q).T @ dproj.reshape(n, 2 * q) if attn_W.requires_grad else None,
+            HC.reshape(n, 3 * q).T @ dpre.reshape(n, q) if attn_out_W.requires_grad else None,
         )
 
-    return _emit("bmm_scores", out, (query, keys), vjp)
-
-
-def bmm_context(weights: Tensor, values: Tensor) -> Tensor:
-    """Per-row weighted sums: (B,L) x (B,L,K) -> (B,K)."""
-    if (
-        weights.data.ndim != 2
-        or values.data.ndim != 3
-        or weights.shape[0] != values.shape[0]
-        or weights.shape[1] != values.shape[1]
-    ):
-        raise ShapeError(f"bmm_context: weights {weights.shape} vs values {values.shape}")
-    out = np.einsum("bl,blk->bk", weights.data, values.data)
-
-    def vjp(g):
-        return (
-            np.einsum("bk,blk->bl", g, values.data) if weights.requires_grad else None,
-            np.einsum("bl,bk->blk", weights.data, g) if values.requires_grad else None,
-        )
-
-    return _emit("bmm_context", out, (weights, values), vjp)
+    return _emit("decoder", Y.reshape(length * batch, q), inputs, vjp)
 
 
 # ---------------------------------------------------------------------------

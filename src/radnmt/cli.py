@@ -142,6 +142,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid non_negative_float
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1 here
         raise UsageError(f"{message}\n{self.format_usage()}")
@@ -195,7 +202,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--beam", type=positive_int, default=5)
     p.add_argument("--max-len", type=positive_int, default=None)
-    p.add_argument("--length-norm", type=float, default=0.0)
+    p.add_argument("--length-norm", type=non_negative_float, default=0.0)
     p.add_argument("--unk-token", default="〓")
 
     p = sub.add_parser("eval", help="perplexity + BLEU against references")

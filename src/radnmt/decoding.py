@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import log_softmax
 from .corpus import BOS, EOS, PAD, Vocab, encode_pair
 from .errors import DataError, RadnmtError, read_utf8
-from .model import Annotations, ModelParams, decode_step, encode, init_decoder_state
+from .model import ModelParams, decode_step, encode, init_decoder_state
 from .radicals import RadicalTable
 
 DEFAULT_UNK_TOKEN = "〓"  # geta mark, the CJK "missing glyph" convention
@@ -42,12 +42,6 @@ class Hypothesis:
         if length_alpha > 0.0 and self.tokens:
             return self.logprob / (len(self.tokens) ** length_alpha)
         return self.logprob
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    peak = logits.max(axis=-1, keepdims=True)
-    stable = logits - peak
-    return stable - np.log(np.exp(stable).sum(axis=-1, keepdims=True))
 
 
 def default_max_len(src_len: int) -> int:
@@ -87,18 +81,10 @@ def beam_search(
     h, c, h_tilde = h0.data, c0.data, np.zeros((1, params.config.hidden_size))
     completed: list[Hypothesis] = []
     for _ in range(max_len):
-        k = len(logprob)
-        tiled = Annotations(
-            Tensor(np.repeat(ann.vectors.data, k, axis=0)),
-            np.repeat(mask, k, axis=0),
-            None,
-            None,
-        )
-        logits, (h_new, c_new), ht_new = decode_step(
-            tokens[:, -1], Tensor(h_tilde), (Tensor(h), Tensor(c)), tiled, params
-        )
+        # every live row reads the one sentence's annotations
+        logits, (h, c), h_tilde = decode_step(tokens[:, -1], h_tilde, (h, c), ann, params)
         lex = np.lexsort(tokens.T[::-1])  # live rows in lexicographic order
-        scores = (logprob[:, None] + _log_softmax(logits.data))[lex]
+        scores = (logprob[:, None] + log_softmax(logits))[lex]
         scores[:, [PAD, BOS]] = -np.inf
         # a stable sort breaks score ties by flat index (lex rank, token)
         keep = np.argsort(-scores, axis=None, kind="stable")[:beam_size]
@@ -111,7 +97,7 @@ def beam_search(
             Hypothesis(t[1:].tolist(), float(lp), True) for t, lp in zip(tokens[done], logprob[done])
         )
         parent, tokens, logprob = parent[~done], tokens[~done], logprob[~done]
-        h, c, h_tilde = h_new.data[parent], c_new.data[parent], ht_new.data[parent]
+        h, c, h_tilde = h[parent], c[parent], h_tilde[parent]
         if logprob.size == 0:
             break
     if not completed:

@@ -6,13 +6,16 @@ Architecture:
   concatenated with a separately trained radical embedding (p2 dims);
   the concatenated length p1+p2 is the total embedding size. With p2=0
   the model degenerates exactly to a plain character embedding.
-* Encoder: single-layer bidirectional LSTM; the annotation vector at
-  position j is the concatenation of forward and backward states (2q).
+* Encoder: single-layer bidirectional LSTM (two ad.lstm records); the
+  annotation vector at position j is the concatenation of forward and
+  backward states (2q).
 * Decoder: single-layer LSTM with input feeding: its input is the
   previous target character's embedding concatenated with the previous
-  attentional output h~.
-* Attention: Luong-style "general" score s^T W h over annotations,
-  masked softmax, weighted-sum context; h~ = tanh(W_c [s; c]).
+  attentional output h~. Attention is Luong-style "general", score
+  s^T W h over annotations, masked softmax, weighted-sum context;
+  h~ = tanh(W_c [s; c]). The step is written once, as ad.decoder_step:
+  training records every step as one ad.decoder op, and decode_step
+  runs it untaped for beam search.
 * Output: linear projection of h~ to target vocabulary logits.
 
 Training-mode dropout is applied to the embedded encoder/decoder inputs
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +34,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import FEATURE_VOCAB_SIZE, Batch
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"RNMT"
 CHECKPOINT_VERSION = 1
+
+# the decoder weights, in the order ad.decoder and ad.decoder_step take them
+_DECODER_WEIGHTS = ("dec_Wx", "dec_Wh", "dec_b", "attn_W", "attn_out_W")
 
 
 @dataclass(frozen=True)
@@ -186,23 +192,6 @@ def embed_with_features(char_ids: np.ndarray, feat_ids: np.ndarray | None, char_
     return ad.concat([chars, feats], axis=1)
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step: ad.lstm over a single position. Gate layout [i | f | o | g]."""
-    _, h, c = ad.lstm(ad.add(ad.matmul(x, Wx), b), Wh, h_prev, c_prev)
-    return h, c
-
-
-def _zeros(batch: int, dim: int) -> Tensor:
-    return Tensor(np.zeros((batch, dim)))
-
-
-def _maybe_dropout(x: Tensor, drop_p: float, rng) -> Tensor:
-    if drop_p <= 0.0:
-        return x
-    mask, scale = ad.make_dropout_mask(x.shape, drop_p, rng)
-    return ad.dropout_apply(x, mask, scale)
-
-
 def encode(
     src: np.ndarray,
     feats: np.ndarray | None,
@@ -222,8 +211,9 @@ def encode(
         params["src_char_emb"],
         params["src_feat_emb"] if params.feature_path else None,
     )
-    x = _maybe_dropout(x, drop_p, rng)
-    zeros = _zeros(batch, q)
+    if drop_p > 0.0:
+        x = ad.dropout_apply(x, *ad.make_dropout_mask(x.shape, drop_p, rng))
+    zeros = Tensor(np.zeros((batch, q)))
     (fwd, _, _), (bwd, bwd_h, bwd_c) = (
         ad.lstm(
             ad.add(ad.matmul(x, params[f"enc_{d}_Wx"]), params[f"enc_{d}_b"]),
@@ -241,40 +231,6 @@ def init_decoder_state(ann: Annotations, params: ModelParams) -> tuple[Tensor, T
     return h, c
 
 
-def attention(state_h: Tensor, ann: Annotations, params: ModelParams) -> tuple[Tensor, Tensor]:
-    """Context vector and alignment weights for one decoder step.
-
-    score_j = s^T W h_j; masked positions are excluded from the softmax,
-    so the weights form a distribution over real source positions.
-    """
-    if not ann.mask.any(axis=1).all():
-        raise ContractError("attention: a batch row has no unmasked source position")
-    proj = ad.matmul(state_h, params["attn_W"])  # (B, 2q)
-    scores = ad.bmm_scores(proj, ann.vectors)  # (B, L)
-    weights = ad.softmax(scores, mask=ann.mask)
-    context = ad.bmm_context(weights, ann.vectors)  # (B, 2q)
-    return context, weights
-
-
-def advance_decoder(
-    y_prev: np.ndarray,
-    h_tilde_prev: Tensor,
-    state: tuple[Tensor, Tensor],
-    ann: Annotations,
-    params: ModelParams,
-    drop_p: float,
-    rng,
-) -> tuple[tuple[Tensor, Tensor], Tensor]:
-    """A decoder step up to the dropped-out h~, with input feeding; returns (state, h~)."""
-    emb = ad.embedding_lookup(params["tgt_char_emb"], y_prev)
-    emb = _maybe_dropout(emb, drop_p, rng)
-    x = ad.concat([emb, h_tilde_prev], axis=1)  # input feeding
-    h, c = lstm_cell(x, state[0], state[1], params["dec_Wx"], params["dec_Wh"], params["dec_b"])
-    context, _ = attention(h, ann, params)
-    h_tilde = ad.tanh(ad.matmul(ad.concat([h, context], axis=1), params["attn_out_W"]))
-    return (h, c), _maybe_dropout(h_tilde, drop_p, rng)
-
-
 def output_logits(h_tilde: Tensor, params: ModelParams) -> Tensor:
     """Target-vocabulary logits of any number of h~ rows."""
     return ad.add(ad.matmul(h_tilde, params["out_W"]), params["out_b"])
@@ -282,14 +238,23 @@ def output_logits(h_tilde: Tensor, params: ModelParams) -> Tensor:
 
 def decode_step(
     y_prev: np.ndarray,
-    h_tilde_prev: Tensor,
-    state: tuple[Tensor, Tensor],
+    h_tilde_prev: np.ndarray,
+    state: tuple[np.ndarray, np.ndarray],
     ann: Annotations,
     params: ModelParams,
-) -> tuple[Tensor, tuple[Tensor, Tensor], Tensor]:
-    """One decoder step without dropout, as decoding runs it; returns (logits, state, h~)."""
-    state, h_tilde = advance_decoder(y_prev, h_tilde_prev, state, ann, params, 0.0, None)
-    return output_logits(h_tilde, params), state, h_tilde
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """One untaped decoder step, as decoding runs it; returns (logits, (h, c), h~).
+
+    y_prev, h_tilde_prev and state hold one row per hypothesis; ann holds
+    either one row per hypothesis or one sentence that all rows share.
+    """
+    vectors = ann.vectors.data
+    (h, c, h_tilde), _ = ad.decoder_step(
+        params["tgt_char_emb"].data[y_prev], h_tilde_prev, *state,
+        np.broadcast_to(vectors, (len(y_prev),) + vectors.shape[1:]), ann.mask,
+        *(params[name].data for name in _DECODER_WEIGHTS),
+    )
+    return output_logits(Tensor(h_tilde), params).data, (h, c), h_tilde
 
 
 def forward_loss(
@@ -301,18 +266,26 @@ def forward_loss(
 ) -> tuple[Tensor, int]:
     """Teacher-forced NLL summed over real target positions.
 
-    BOS is never predicted; EOS is. One projection and one masked_nll
-    cover the h~ of every step. Returns (total NLL, token count).
+    BOS is never predicted; EOS is. One decoder op runs every step, and
+    one projection and one masked_nll cover the h~ of every step.
+    Returns (total NLL, token count).
     """
     drop_p = (params.config.dropout if dropout is None else dropout) if train else 0.0
     ann = encode(batch.src, batch.feats, batch.src_mask, params, drop_p, rng)
-    state = init_decoder_state(ann, params)
-    h_tilde = _zeros(batch.size, params.config.hidden_size)
-    h_tildes = []
-    for t in range(batch.tgt.shape[1] - 1):
-        state, h_tilde = advance_decoder(batch.tgt[:, t], h_tilde, state, ann, params, drop_p, rng)
-        h_tildes.append(h_tilde)
-    logits = output_logits(ad.concat(h_tildes, axis=0), params)
+    h0, c0 = init_decoder_state(ann, params)
+    # time-major rows: row t*B + b is the input of step t of sentence b
+    emb = ad.embedding_lookup(params["tgt_char_emb"], batch.tgt[:, :-1].T.reshape(-1))
+    feed_keep = None
+    if drop_p > 0.0:
+        # step t's embedding mask, then its h~ mask: the order a step-by-step loop draws them in
+        widths = (params.config.char_embed_dim, params.config.hidden_size)
+        draws = [ad.make_dropout_mask((batch.size, n), drop_p, rng)
+                 for _ in range(batch.tgt.shape[1] - 1) for n in widths]
+        emb = ad.dropout_apply(emb, np.concatenate([m for m, _ in draws[::2]]), draws[0][1])
+        feed_keep = np.stack([m for m, _ in draws[1::2]]) * draws[0][1]
+    weights = (params[name] for name in _DECODER_WEIGHTS)
+    h_tildes = ad.decoder(emb, h0, c0, ann.vectors, ann.mask, *weights, feed_keep=feed_keep)
+    logits = output_logits(h_tildes, params)
     # row t*B + b of logits predicts tgt[b, t + 1]
     total = ad.masked_nll(logits, batch.tgt[:, 1:].T.reshape(-1), batch.tgt_mask[:, 1:].T.reshape(-1))
     return total, int(batch.tgt_mask[:, 1:].sum())
@@ -361,12 +334,9 @@ def load_checkpoint(path) -> ModelParams:
         except (struct.error, ValueError) as exc:  # short read, cut-off JSON
             raise DataError(f"{path}: truncated checkpoint header ({exc})") from exc
         payload = f.read()
-    # single-valued fields that older manifests still carry
-    for removed in ("layers", "attention"):
-        manifest["config"].pop(removed, None)
-    config = ModelConfig(**manifest["config"])
+    config, feature_path, entries = _check_manifest(manifest, path)
     tensors = {}
-    for entry in manifest["tensors"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
@@ -376,4 +346,50 @@ def load_checkpoint(path) -> ModelParams:
         t = Tensor(arr.reshape(shape).copy(), requires_grad=True)
         t.name = entry["name"]
         tensors[entry["name"]] = t
-    return ModelParams(config, tensors, manifest["feature_path"])
+    try:
+        return ModelParams(config, tensors, feature_path)
+    except (ConfigError, ShapeError) as exc:
+        raise DataError(f"{path}: checkpoint tensors do not fit its config ({exc})") from exc
+
+
+def _check_manifest(manifest, path) -> tuple[ModelConfig, bool, list[dict]]:
+    """The config, feature flag and tensor directory of a checkpoint manifest.
+
+    Anything but the layout save_checkpoint writes raises DataError.
+    """
+
+    def bad(what: str) -> DataError:
+        return DataError(f"{path}: invalid checkpoint manifest ({what})")
+
+    def count(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    if not isinstance(manifest, dict) or set(manifest) != {"config", "feature_path", "tensors"}:
+        raise bad("expected an object with exactly config, feature_path and tensors")
+    raw, entries = manifest["config"], manifest["tensors"]
+    if not isinstance(raw, dict):
+        raise bad("config is not an object")
+    # single-valued fields that older manifests still carry
+    raw = {key: value for key, value in raw.items() if key not in ("layers", "attention")}
+    kinds = {field.name: field.type for field in fields(ModelConfig)}
+    for key, value in raw.items():
+        if key not in kinds:
+            raise bad(f"unknown config key {key!r}")
+        if not (count(value) or (kinds[key] == "float" and isinstance(value, float))):
+            raise bad(f"config {key} is {value!r}")
+    try:
+        config = ModelConfig(**raw)
+    except (TypeError, ConfigError) as exc:
+        raise bad(str(exc)) from exc
+    if not isinstance(manifest["feature_path"], bool):
+        raise bad("feature_path is not true or false")
+    if not isinstance(entries, list):
+        raise bad("tensors is not a list")
+    for entry in entries:
+        if not (
+            isinstance(entry, dict) and set(entry) == {"name", "shape", "offset"}
+            and isinstance(entry["name"], str) and count(entry["offset"])
+            and isinstance(entry["shape"], list) and all(count(n) for n in entry["shape"])
+        ):
+            raise bad(f"bad tensor entry {entry!r}")
+    return config, manifest["feature_path"], entries

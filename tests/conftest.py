@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import radnmt
-from radnmt.autodiff import Tensor
+from radnmt.autodiff import log_softmax
 from radnmt.corpus import BOS, EOS, PAD, Batch
-from radnmt.decoding import _log_softmax
 from radnmt.model import decode_step, encode, init_decoder_state
 from radnmt.seeding import derive_rng
 
@@ -76,12 +75,12 @@ def replay_score(params, src, feats, tokens) -> float:
     """Sum of per-step log-softmax picks for a fixed token sequence."""
     mask = np.ones((1, len(src)), dtype=bool)
     ann = encode(src[None, :], None if feats is None else feats[None, :], mask, params)
-    h, c = init_decoder_state(ann, params)
-    ht = Tensor(np.zeros((1, params.config.hidden_size)))
-    state, prev, total = (h, c), BOS, 0.0
+    state = tuple(t.data for t in init_decoder_state(ann, params))
+    ht = np.zeros((1, params.config.hidden_size))
+    prev, total = BOS, 0.0
     for tok in tokens:
         logits, state, ht = decode_step(np.array([prev]), ht, state, ann, params)
-        total += float(_log_softmax(logits.data)[0][tok])
+        total += float(log_softmax(logits)[0][tok])
         prev = tok
     return total
 
@@ -109,13 +108,12 @@ def greedy_decode(params, src, feats, max_len: int):
     """Step-wise argmax decoder (lowest id wins ties); stops at EOS."""
     mask = np.ones((1, len(src)), dtype=bool)
     ann = encode(src[None, :], None if feats is None else feats[None, :], mask, params)
-    h, c = init_decoder_state(ann, params)
-    ht = Tensor(np.zeros((1, params.config.hidden_size)))
-    state, prev = (h, c), BOS
-    tokens, total = [], 0.0
+    state = tuple(t.data for t in init_decoder_state(ann, params))
+    ht = np.zeros((1, params.config.hidden_size))
+    prev, tokens, total = BOS, [], 0.0
     for _ in range(max_len):
         logits, state, ht = decode_step(np.array([prev]), ht, state, ann, params)
-        lp = _log_softmax(logits.data)[0].copy()
+        lp = log_softmax(logits)[0]
         lp[PAD] = lp[BOS] = -np.inf
         best = lp.max()
         tok = int(np.flatnonzero(lp == best)[0])

@@ -27,9 +27,26 @@ def total(x):
     return ad.matmul(ad.matmul(rows, x), cols)
 
 
+def weighted_sum(x, weight):
+    """sum(x * weight) as a (1, 1) tensor, for outputs of any rank.
+
+    No op of the engine reduces a 3-D tensor to a 2-D one, so this test
+    helper records its own (trivial) VJP.
+    """
+    return ad._emit("weighted_sum", np.array([[np.vdot(x.data, weight)]]), (x,), lambda g: (g[0, 0] * weight,))
+
+
+def decoder_inputs(rng, steps, batch, src_len, p1, q):
+    """emb, h0, c0, vectors and the five weights of ad.decoder, all trainable.
+    Halving the weights keeps the gates out of saturation, as in lstm_inputs."""
+    shapes = [(steps * batch, p1), (batch, q), (batch, q), (batch, src_len, 2 * q),
+              (p1 + q, 4 * q), (q, 4 * q), (4 * q,), (q, 2 * q), (3 * q, q)]
+    return [ad.Tensor(0.5 * rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
 def test_softmax_symmetry():
-    out = ad.softmax(ad.Tensor([0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
+    out = np.exp(ad.log_softmax(np.zeros((1, 2))))
+    np.testing.assert_allclose(out, [[0.5, 0.5]])
 
 
 def test_matmul_identity():
@@ -114,26 +131,24 @@ def test_non_finite_detection():
 
 def test_softmax_rows_sum_to_one():
     rng = derive_rng(7, "softmax")
-    x = ad.Tensor(rng.normal(size=(5, 9)) * 10)
-    out = ad.softmax(x)
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-12)
-    assert (out.data >= 0).all()
+    out = np.exp(ad.log_softmax(rng.normal(size=(5, 9)) * 10))
+    np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
+    assert (out >= 0).all()
 
 
 def test_softmax_masked_lanes_are_exactly_zero():
+    # the decoder's attention softmax: a masked source position gets weight
+    # exactly 0, so its annotation neither moves H~ nor takes a gradient
     rng = derive_rng(8, "softmax-mask")
-    x = ad.Tensor(rng.normal(size=(3, 4)))
+    emb, h0, c0, vectors, *weights = decoder_inputs(rng, 2, 3, 4, 3, 3)
     mask = np.array([[True, False, True, True]] * 3)
-    out = ad.softmax(x, mask=mask)
-    assert (out.data[:, 1] == 0.0).all()
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(3), atol=1e-12)
-
-
-def test_softmax_fully_masked_row_raises():
-    x = ad.Tensor(np.zeros((2, 3)))
-    mask = np.array([[True, True, True], [False, False, False]])
-    with pytest.raises(NumericError, match="masked"):
-        ad.softmax(x, mask=mask)
+    with ad.Tape() as tape:
+        out = ad.decoder(emb, h0, c0, vectors, mask, *weights)
+        loss = total(out)
+    ad.backward(loss, tape)
+    assert (vectors.grad[:, 1] == 0.0).all() and vectors.grad[:, 0].all()
+    vectors.data[:, 1] = 1e3
+    np.testing.assert_array_equal(ad.decoder(emb, h0, c0, vectors, mask, *weights).data, out.data)
 
 
 def test_dropout_keep_probability_one_is_identity():
@@ -215,38 +230,42 @@ def _op_cases(rng):
     x, y = T(rng, 3, 4), T(rng, 3, 4)
     bias = T(rng, 4)
     emb = T(rng, 5, 3)
-    q3, k3 = T(rng, 2, 4), T(rng, 2, 3, 4)
-    w2 = T(rng, 2, 3)
     xw, Wh, h0, c0 = lstm_inputs(rng, 3, 2, 3)
     lstm_mask = np.array([[True, True, False], [True, False, True]])
-    per_step = ad.Tensor(rng.normal(size=(2, 3)))
+    per_step = rng.normal(size=(2, 3, 3))
 
     def lstm_loss(reverse, c_init=c0):
         H, h, c = ad.lstm(xw, Wh, h0, c_init, lstm_mask, reverse)
-        return weighted(ad.concat([ad.bmm_context(per_step, H), h, c], axis=1))
+        return total(ad.concat([weighted(ad.concat([h, c], axis=1)), weighted_sum(H, per_step)], axis=1))
+
+    # 3 steps over a ragged pair of sources (4 and 2 real positions)
+    dec = decoder_inputs(rng, 3, 2, 4, 3, 3)
+    dec_mask = np.array([[True, True, True, True], [True, True, False, False]])
+    feed_mask, feed_scale = ad.make_dropout_mask((3, 2, 3), 0.4, derive_rng(1, "drop"))
+
+    def decoder_loss(feed_keep):
+        emb, h0, c0, vectors, *weights = dec
+        return weighted(ad.decoder(emb, h0, c0, vectors, dec_mask, *weights, feed_keep=feed_keep))
 
     logits = T(rng, 3, 5)
     targets = np.array([1, 0, 4])
     mask = np.array([1.0, 1.0, 0.0])
     drop_mask, scale = ad.make_dropout_mask((3, 4), 0.4, derive_rng(0, "drop"))
-    sm_mask = np.array([[True, False, True, True]] * 3)
     return [
         ("matmul", lambda: weighted(ad.matmul(a, b)), [a, b]),
         ("add_bias", lambda: weighted(ad.add(x, bias)), [x, bias]),
         ("mul", lambda: weighted(ad.mul(x, ad.mul(y, mix))), [x, y]),
         ("tanh", lambda: weighted(ad.tanh(x)), [x]),
-        ("softmax", lambda: weighted(ad.softmax(x)), [x]),
-        ("softmax_masked", lambda: weighted(ad.softmax(x, mask=sm_mask)), [x]),
         ("concat", lambda: weighted(ad.concat([x, y], axis=1)), [x, y]),
         ("embedding", lambda: weighted(ad.embedding_lookup(emb, np.array([0, 2, 2]))), [emb]),
         ("dropout", lambda: weighted(ad.dropout_apply(x, drop_mask, scale)), [x]),
         ("masked_nll", lambda: ad.masked_nll(logits, targets, mask), [logits]),
-        ("bmm_scores", lambda: total(ad.bmm_scores(q3, k3)), [q3, k3]),
-        ("bmm_context", lambda: total(ad.bmm_context(w2, k3)), [w2, k3]),
         ("lstm", lambda: lstm_loss(False), [xw, Wh, h0, c0]),
         ("lstm_reverse", lambda: lstm_loss(True), [xw, Wh, h0, c0]),
         # one leaf as both h0 and c0: two gradients for it from one record
         ("lstm_shared_init", lambda: lstm_loss(False, c_init=h0), [xw, Wh, h0]),
+        ("decoder", lambda: decoder_loss(None), dec),
+        ("decoder_feed_dropout", lambda: decoder_loss(feed_mask * feed_scale), dec),
     ]
 
 
@@ -274,6 +293,12 @@ def test_lstm_non_finite_gate_raises():
         ad.lstm(xw, ad.Tensor(np.zeros((1, 4))), zero, zero)
 
 
+def test_decoder_rejects_mismatched_shapes():
+    emb, h0, c0, vectors, *weights = decoder_inputs(derive_rng(23, "decoder-shapes"), 2, 3, 4, 3, 3)
+    with pytest.raises(ShapeError, match="decoder"):
+        ad.decoder(emb, h0, c0, vectors, np.ones((3, 5), dtype=bool), *weights)
+
+
 def test_grad_check_constant_function_is_exact():
     w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     const = ad.Tensor(np.zeros((1, 1)))
@@ -285,7 +310,7 @@ def test_deterministic_forward_bit_identical():
         rng = derive_rng(21, "determinism")
         x = T(rng, 4, 4)
         with ad.Tape() as tape:
-            loss = total(ad.softmax(ad.tanh(ad.matmul(x, x))))
+            loss = total(ad.mul(ad.tanh(ad.matmul(x, x)), x))
         ad.backward(loss, tape)
         return loss.item(), x.grad.copy()
 

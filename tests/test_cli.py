@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -187,8 +188,12 @@ def test_translate_cli(trained_dir, tmp_path):
         (["translate", "--max-len", "0"], "鉄の実験。\n"),
         (["translate", "--max-len", "-2"], "鉄の実験。\n"),
         (["eval", "--beam", "0"], "鉄の実験。\n"),
+        (["translate", "--length-norm", "-1"], "鉄の実験。\n"),
+        (["translate", "--length-norm", "nan"], "鉄の実験。\n"),
+        (["translate", "--length-norm", "inf"], "鉄の実験。\n"),
     ],
-    ids=["beam-0", "beam-0-empty-input", "max-len-0", "max-len-neg", "eval-beam-0"],
+    ids=["beam-0", "beam-0-empty-input", "max-len-0", "max-len-neg", "eval-beam-0",
+         "length-norm-neg", "length-norm-nan", "length-norm-inf"],
 )
 def test_count_flags_below_one_are_usage_errors(flags, source, trained_dir, tmp_path, capsys):
     model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
@@ -201,7 +206,8 @@ def test_count_flags_below_one_are_usage_errors(flags, source, trained_dir, tmp_
     }[flags[0]]
     assert dispatch(flags + ["--model", str(model)] + files) == 1
     err = capsys.readouterr().err
-    assert "usage error" in err and f"{flags[1]}: expected an integer >= 1" in err
+    expected = "a finite number >= 0" if flags[1] == "--length-norm" else "an integer >= 1"
+    assert "usage error" in err and f"{flags[1]}: expected {expected}" in err
     assert not out.exists()
 
 
@@ -247,6 +253,40 @@ def test_truncated_checkpoint_is_data_error(end, trained_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "truncated" in capsys.readouterr().err
+
+
+def _first_tensor(manifest, **changes):
+    return dict(manifest, tensors=[dict(manifest["tensors"][0], **changes)] + manifest["tensors"][1:])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: {},
+        lambda m: [],
+        lambda m: dict(m, config=dict(m["config"], layers_per_side=2)),
+        lambda m: dict(m, config=[1, 2]),
+        lambda m: {k: v for k, v in m.items() if k != "tensors"},
+        lambda m: _first_tensor(m, shape="16"),
+        lambda m: _first_tensor(m, offset=-8),
+    ],
+    ids=["empty-object", "list", "unknown-config-key", "config-not-object", "no-tensors",
+         "string-shape", "negative-offset"],
+)
+def test_bad_checkpoint_manifest_is_data_error(edit, trained_dir, tmp_path, capsys):
+    model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
+    raw = model.read_bytes()
+    (manifest_len,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.dumps(edit(json.loads(raw[16 : 16 + manifest_len]))).encode("utf-8")
+    bad = tmp_path / "bad.rnmt"
+    bad.write_bytes(raw[:8] + struct.pack("<Q", len(manifest)) + manifest + raw[16 + manifest_len :])
+    inp = tmp_path / "in.txt"
+    inp.write_text("鉄の実験。\n", encoding="utf-8")
+    code = dispatch([
+        "translate", "--model", str(bad), "--input", str(inp), "--output", str(tmp_path / "out.txt"),
+    ])
+    assert code == 2
+    assert "invalid checkpoint manifest" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

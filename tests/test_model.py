@@ -10,16 +10,13 @@ from radnmt.autodiff import Tensor
 from radnmt.corpus import BOS, EOS, Batch, ExamplePair, make_batches
 from radnmt.errors import ConfigError, ContractError, DataError
 from radnmt.model import (
-    Annotations,
     ModelParams,
-    attention,
     decode_step,
     embed_with_features,
     encode,
     forward_loss,
     init_decoder_state,
     load_checkpoint,
-    lstm_cell,
     save_checkpoint,
 )
 from radnmt.seeding import derive_rng
@@ -71,6 +68,12 @@ def test_same_char_different_radical_differs_iff_features_present():
     assert not np.array_equal(out.data[0], out.data[1])
     plain = embed_with_features(ids, None, e1, None)
     np.testing.assert_array_equal(plain.data[0], plain.data[1])
+
+
+def lstm_cell(x, h_prev, c_prev, Wx, Wh, b):
+    """One LSTM step: ad.lstm over a single position."""
+    _, h, c = ad.lstm(ad.add(ad.matmul(x, Wx), b), Wh, h_prev, c_prev)
+    return h, c
 
 
 def test_lstm_zero_weights_zero_output():
@@ -159,74 +162,75 @@ def test_encode_padding_invariance():
     np.testing.assert_allclose(padded.final_bwd_h.data, plain.final_bwd_h.data, atol=1e-12)
 
 
+def attention(params, vectors, mask, seed):
+    """Context and weights of one ad.decoder_step from a random state; q = 4."""
+    rng = derive_rng(seed, "attn-state")
+    batch = len(vectors)
+    emb, h_tilde, h, c = (rng.normal(size=(batch, 4)) for _ in range(4))
+    weights = (params[n].data for n in ("dec_Wx", "dec_Wh", "dec_b", "attn_W", "attn_out_W"))
+    _, (*_, alignment, hc) = ad.decoder_step(emb, h_tilde, h, c, vectors, mask, *weights)
+    return hc[:, 4:], alignment
+
+
 def test_attention_single_position_is_identity():
     params = ModelParams.initialize(tiny_config(), seed=3)
     rng = derive_rng(7, "attn")
-    h = Tensor(rng.normal(size=(2, 4)))
-    vectors = Tensor(rng.normal(size=(2, 1, 8)))
-    ann = Annotations(vectors, np.ones((2, 1), dtype=bool), None, None)
-    context, weights = attention(h, ann, params)
-    np.testing.assert_allclose(weights.data, np.ones((2, 1)))
-    np.testing.assert_allclose(context.data, vectors.data[:, 0, :])
+    vectors = rng.normal(size=(2, 1, 8))
+    context, weights = attention(params, vectors, np.ones((2, 1), dtype=bool), 0)
+    np.testing.assert_allclose(weights, np.ones((2, 1)))
+    np.testing.assert_allclose(context, vectors[:, 0, :])
 
 
 def test_attention_uniform_over_identical_scores():
     params = ModelParams.initialize(tiny_config(), seed=4)
     rng = derive_rng(8, "attn")
-    h = Tensor(rng.normal(size=(1, 4)))
-    one = rng.normal(size=(1, 1, 8))
-    vectors = Tensor(np.repeat(one, 5, axis=1))
-    ann = Annotations(vectors, np.ones((1, 5), dtype=bool), None, None)
-    _, weights = attention(h, ann, params)
-    np.testing.assert_allclose(weights.data, np.full((1, 5), 0.2), atol=1e-12)
+    vectors = np.repeat(rng.normal(size=(1, 1, 8)), 5, axis=1)
+    _, weights = attention(params, vectors, np.ones((1, 5), dtype=bool), 1)
+    np.testing.assert_allclose(weights, np.full((1, 5), 0.2), atol=1e-12)
 
 
 def test_attention_weights_form_distribution_and_recompute():
     params = ModelParams.initialize(tiny_config(), seed=5)
     rng = derive_rng(9, "attn")
-    h = Tensor(rng.normal(size=(3, 4)))
-    vectors = Tensor(rng.normal(size=(3, 6, 8)))
+    vectors = rng.normal(size=(3, 6, 8))
     mask = rng.random((3, 6)) < 0.7
     mask[:, 0] = True
-    ann = Annotations(vectors, mask, None, None)
-    context, weights = attention(h, ann, params)
-    np.testing.assert_allclose(weights.data.sum(axis=1), np.ones(3), atol=1e-12)
-    assert (weights.data[~mask] == 0).all()
-    manual = np.einsum("bl,blk->bk", weights.data, vectors.data)
-    np.testing.assert_allclose(context.data, manual, atol=1e-12)
+    context, weights = attention(params, vectors, mask, 2)
+    np.testing.assert_allclose(weights.sum(axis=1), np.ones(3), atol=1e-12)
+    assert (weights[~mask] == 0).all()
+    manual = np.einsum("bl,blk->bk", weights, vectors)
+    np.testing.assert_allclose(context, manual, atol=1e-12)
 
 
 def test_attention_all_masked_row_raises():
     params = ModelParams.initialize(tiny_config(), seed=6)
-    ann = Annotations(Tensor(np.zeros((1, 2, 8))), np.zeros((1, 2), dtype=bool), None, None)
     with pytest.raises(ContractError):
-        attention(Tensor(np.zeros((1, 4))), ann, params)
+        attention(params, np.zeros((1, 2, 8)), np.zeros((1, 2), dtype=bool), 3)
 
 
 def test_decode_step_shapes_and_determinism():
     params = ModelParams.initialize(tiny_config(), seed=7)
     batch = tiny_batch(0)
     ann = encode(batch.src, batch.feats, batch.src_mask, params)
-    state = init_decoder_state(ann, params)
-    ht = Tensor(np.zeros((2, 4)))
+    state = tuple(t.data for t in init_decoder_state(ann, params))
+    ht = np.zeros((2, 4))
     out1 = decode_step(batch.tgt[:, 0], ht, state, ann, params)
     out2 = decode_step(batch.tgt[:, 0], ht, state, ann, params)
     assert out1[0].shape == (2, 8)  # tgt vocab logits
-    np.testing.assert_array_equal(out1[0].data, out2[0].data)
+    np.testing.assert_array_equal(out1[0], out2[0])
 
 
 def test_input_feeding_changes_logits():
     params = ModelParams.initialize(tiny_config(), seed=8)
     batch = tiny_batch(1)
     ann = encode(batch.src, batch.feats, batch.src_mask, params)
-    state = init_decoder_state(ann, params)
+    state = tuple(t.data for t in init_decoder_state(ann, params))
     rng = derive_rng(10, "feed")
-    fed = Tensor(rng.normal(size=(2, 4)))
-    zero = Tensor(np.zeros((2, 4)))
+    fed = rng.normal(size=(2, 4))
+    without = decode_step(batch.tgt[:, 0], np.zeros((2, 4)), state, ann, params)[0]
     with_feed = decode_step(batch.tgt[:, 0], fed, state, ann, params)[0]
-    without = decode_step(batch.tgt[:, 0], zero, state, ann, params)[0]
     assert params["dec_Wx"].data[4:, :].any()  # the h~ slice is nonzero
-    assert not np.array_equal(with_feed.data, without.data)
+    assert not np.array_equal(with_feed, without)
 
 
 def test_forward_loss_uniform_model_is_log_vocab():
