@@ -1,5 +1,6 @@
 """Every character gets exactly one of the 214 Kangxi radicals.
 
+Characters of the Kangxi Radicals block are the radicals themselves;
 Han characters resolve through the bundled table; kana inherit the
 radical of the kanji they were derived from; digits borrow the Chinese
 numeral's radical; Latin letters share 英's radical and everything else
@@ -14,12 +15,14 @@ from radnmt.radicals import describe, radical_glyph
 table = radnmt.load_bundled_table()
 
 print("=== the five assignment rules ===")
-for ch in ["鉄", "語", "あ", "ア", "7", "０", "Q", "ｘ", "。", "!"]:
+examples = "鉄語あア7０Qｘ。!⾦"
+for ch in examples:
     print("  " + describe(ch, table))
 
 print()
 print("=== kana inherit their source kanji's radical ===")
-for kana in "あかさたなはまやらわ":
+kana_row = "あかさたなはまやらわ"
+for kana in kana_row:
     src_cp, rad = table.kana_map[ord(kana)]
     print(f"  {kana} <- {chr(src_cp)} -> #{rad} {radical_glyph(rad)}")
 
@@ -33,6 +36,8 @@ print("  radicals: " + "".join(radical_glyph(r) for r in radicals))
 
 print()
 print("=== totality: anything at all resolves ===")
-for ch in ["€", "μ", "㐀", "🎌"]:
+others = "€μ㐀🎌"
+for ch in others:
     print("  " + describe(ch, table))
-print(f"  (unknown Han characters seen so far: {table.unknown_han_count})")
+shown = examples + kana_row + sentence + others
+print(f"  (Han characters shown here that the table lacks: {table.unknown_han(shown)})")

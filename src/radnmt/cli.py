@@ -22,13 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .corpus import (
-    FEATURE_VOCAB_SIZE,
-    Vocab,
-    build_vocab,
-    encode_corpus,
-    read_parallel,
-)
+from .corpus import Vocab, build_vocab, encode_corpus, read_parallel
 from .errors import DataError, NumericError, RadnmtError, UsageError, read_utf8
 from .evaluation import TOKENIZATIONS, evaluate
 from .decoding import translate_file
@@ -42,7 +36,6 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "hidden": (int, 512),
     "char_embed": (int, 448),
     "feat_embed": (int, 64),
-    "feat_vocab": (int, FEATURE_VOCAB_SIZE),
     "dropout": (float, 0.8),
     "lr": (float, 1.0),
     "lr_decay": (float, 0.5),
@@ -269,6 +262,18 @@ def _cmd_train(args) -> int:
     cfg = resolve_config(file_values, flags, args.profile)
     seed = _resolve_seed(args, cfg)
     out_dir = Path(args.out)
+    tconfig = TrainConfig(
+        lr=cfg["lr"],
+        lr_decay=cfg["lr_decay"],
+        decay_mode=cfg["decay_mode"],
+        max_norm=cfg["clip"],
+        batch_size=cfg["batch"],
+        dropout=cfg["dropout"],
+        epochs=cfg["epochs"],
+        seed=seed,
+        checkpoint_dir=str(out_dir / "checkpoints"),
+        eval_every=cfg["eval_every"],
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
 
     table = load_radical_table(args.han_table, args.kana_table)
@@ -289,22 +294,9 @@ def _cmd_train(args) -> int:
         char_embed_dim=cfg["char_embed"],
         feat_embed_dim=feat_dim,
         hidden_size=cfg["hidden"],
-        feat_vocab_size=cfg["feat_vocab"],
         dropout=cfg["dropout"],
     )
     params = ModelParams.initialize(mconfig, seed, feature_path=not args.no_features)
-    tconfig = TrainConfig(
-        lr=cfg["lr"],
-        lr_decay=cfg["lr_decay"],
-        decay_mode=cfg["decay_mode"],
-        max_norm=cfg["clip"],
-        batch_size=cfg["batch"],
-        dropout=cfg["dropout"],
-        epochs=cfg["epochs"],
-        seed=seed,
-        checkpoint_dir=str(out_dir / "checkpoints"),
-        eval_every=cfg["eval_every"],
-    )
     train_set = encode_corpus(train_pairs, src_vocab, tgt_vocab, table, cfg["max_src_len"])
     dev_set = encode_corpus(dev_pairs, src_vocab, tgt_vocab, table, max_chars=None)
     write_run_manifest(
@@ -435,3 +427,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, read_utf8
-from .radicals import RadicalTable
+from .radicals import N_RADICALS, RadicalTable
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -24,7 +24,7 @@ RESERVED = {PAD: "<pad>", BOS: "<bos>", EOS: "<eos>", UNK: "<unk>"}
 N_RESERVED = len(RESERVED)
 
 EOS_FEATURE = 0  # feature id carried by EOS/PAD positions
-FEATURE_VOCAB_SIZE = 215  # ids 0..214
+FEATURE_VOCAB_SIZE = N_RADICALS + 1  # ids 0..214
 
 
 class Vocab:

@@ -2,7 +2,10 @@
 
 Chinese characters (and kanji) are indexed in traditional dictionaries
 under one of 214 Kangxi radicals, usually the semantic component. This
-module maps *any* Unicode character to exactly one radical index:
+module maps *any* Unicode character to exactly one radical index.
+Characters of the Kangxi Radicals block (U+2F00..U+2FD5) are the
+radicals themselves and map by position; every other character takes
+the first of these rules that applies:
 
   1. Han characters resolve through a bundled codepoint table.
   2. Hiragana and katakana have no radical of their own; they inherit
@@ -13,24 +16,23 @@ module maps *any* Unicode character to exactly one radical index:
   4. Latin letters (either case, either width) use the radical of 英.
   5. Everything else uses the radical of 符.
 
-Rules 1..5 are tried in that order, so the function is total: every
-Unicode scalar yields an index in 1..214. Han characters missing from
-the table fall through to rule 5 and are counted, not fatal, so noisy
-corpora annotate cleanly.
+The rules are resolved once, when the tables load, into one frozen
+code-point map; every code point it lacks takes rule 5, so the mapping
+is total: every Unicode scalar yields an index in 1..214. Han
+characters missing from the table take rule 5 too, not an error, so
+noisy corpora annotate cleanly; RadicalTable.unknown_han counts them.
 """
 
 from __future__ import annotations
 
 import io
-import logging
+import string
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import DataError, read_utf8
-
-log = logging.getLogger(__name__)
 
 N_RADICALS = 214
 
@@ -71,6 +73,7 @@ _KATAKANA = range(0x30A1, 0x30FB)
 _KANA_EXTRAS = (0x30FC, 0x309D, 0x309E, 0x30FD, 0x30FE)
 
 _KANGXI_BLOCK = range(0x2F00, 0x2FD6)  # Kangxi Radicals block, ordered 1..214
+_FULLWIDTH_OFFSET = 0xFEE0  # U+FF01..U+FF5E are fullwidth U+0021..U+007E
 
 _HAN_RANGES = (
     range(0x3400, 0x4DC0),
@@ -97,19 +100,12 @@ def is_han(cp: int) -> bool:
     return any(cp in r for r in _HAN_RANGES)
 
 
-def _fold_width(ch: str) -> str:
-    cp = ord(ch)
-    if 0xFF01 <= cp <= 0xFF5E:  # fullwidth ASCII block
-        return chr(cp - 0xFEE0)
-    return ch
-
-
-@dataclass
+@dataclass(frozen=True)
 class RadicalTable:
-    """Loaded radical data; immutable after load, safe for shared reads.
+    """Loaded radical data, frozen after load and safe for shared reads.
 
-    unknown_han_count is an advisory tally of Han characters that fell
-    through to the symbol rule; it is not part of the mapping contract.
+    resolved holds the outcome of every rule for each code point a rule
+    names; the other fields are the tables it was resolved from.
     """
 
     han_map: dict[int, int]
@@ -117,35 +113,22 @@ class RadicalTable:
     numeral_map: dict[str, int]
     latin_radical: int
     symbol_radical: int
-    unknown_han_count: int = field(default=0, compare=False)
+    resolved: dict[int, int]
 
     def radical_of(self, ch: str) -> int:
         """Radical index for a single character. Total over Unicode."""
         if len(ch) != 1:
             raise DataError(f"radical_of expects one character, got {ch!r}")
-        cp = ord(ch)
-        if cp in _KANGXI_BLOCK:
-            return cp - 0x2F00 + 1
-        if is_han(cp):
-            index = self.han_map.get(cp)
-            if index is not None:
-                return index
-            self.unknown_han_count += 1
-            log.debug("no radical entry for %r (U+%04X); using symbol rule", ch, cp)
-            return self.symbol_radical
-        kana = self.kana_map.get(cp)
-        if kana is not None:
-            return kana[1]
-        folded = _fold_width(ch)
-        if folded in self.numeral_map:
-            return self.numeral_map[folded]
-        if "A" <= folded <= "Z" or "a" <= folded <= "z":
-            return self.latin_radical
-        return self.symbol_radical
+        return self.resolved.get(ord(ch), self.symbol_radical)
 
     def annotate(self, sentence: str) -> list[int]:
         """Position-aligned radical indices; len(result) == len(sentence)."""
-        return [self.radical_of(ch) for ch in sentence]
+        resolved, symbol = self.resolved, self.symbol_radical
+        return [resolved.get(ord(ch), symbol) for ch in sentence]
+
+    def unknown_han(self, text: str) -> int:
+        """How many characters of text are Han but missing from the Han table."""
+        return sum(is_han(cp) and cp not in self.han_map for cp in map(ord, text))
 
 
 def _parse_codepoint(token: str, path, lineno: int) -> int:
@@ -221,12 +204,24 @@ def load_radical_table(han_path, kana_path) -> RadicalTable:
         return index
 
     numeral_map = {str(d): _anchor(CHINESE_NUMERALS[d]) for d in range(10)}
+    latin_radical = _anchor(LATIN_SOURCE)
+    # Resolve the rules in reverse order, so that each overwrites the ones
+    # it takes precedence over: Latin letters and digits in both widths,
+    # kana outside the Han ranges, Han inside them, the Kangxi block.
+    resolved: dict[int, int] = {}
+    ascii_rules = dict.fromkeys(string.ascii_letters, latin_radical) | numeral_map
+    for ch, index in ascii_rules.items():
+        resolved[ord(ch)] = resolved[ord(ch) + _FULLWIDTH_OFFSET] = index
+    resolved.update((cp, index) for cp, (_, index) in kana_map.items() if not is_han(cp))
+    resolved.update((cp, index) for cp, index in han_map.items() if is_han(cp))
+    resolved.update((cp, index) for index, cp in enumerate(_KANGXI_BLOCK, 1))
     return RadicalTable(
         han_map=han_map,
         kana_map=kana_map,
         numeral_map=numeral_map,
-        latin_radical=_anchor(LATIN_SOURCE),
+        latin_radical=latin_radical,
         symbol_radical=_anchor(SYMBOL_SOURCE),
+        resolved=resolved,
     )
 
 
@@ -251,7 +246,7 @@ def annotate_file(table: RadicalTable, input_path, output_path) -> int:
     with Path(output_path).open("w", encoding="utf-8") as dst:
         for line in src:
             text = line.rstrip("\n")
-            pairs = " ".join(f"{ch}|{table.radical_of(ch)}" for ch in text)
+            pairs = " ".join(f"{ch}|{index}" for ch, index in zip(text, table.annotate(text)))
             dst.write(pairs + "\n")
             count += 1
     return count

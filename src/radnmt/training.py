@@ -25,6 +25,7 @@ from .seeding import derive_rng
 log = logging.getLogger(__name__)
 
 DECAY_MODES = ("plateau", "epoch", "none")
+PLATEAU_THRESHOLD = 1e-3  # relative dev-ppl improvement that counts
 
 
 @dataclass
@@ -32,7 +33,6 @@ class TrainConfig:
     lr: float = 1.0
     lr_decay: float = 0.5
     decay_mode: str = "plateau"
-    plateau_threshold: float = 1e-3  # relative dev-ppl improvement that counts
     decay_start_epoch: int = 10  # first decaying epoch in "epoch" mode
     max_norm: float = 1.0
     batch_size: int = 10
@@ -43,8 +43,10 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.max_norm) and self.max_norm > 0):
+            raise ConfigError(f"max_norm must be finite and positive, got {self.max_norm}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError("lr_decay must be in (0, 1]")
         if self.decay_mode not in DECAY_MODES:
@@ -179,7 +181,7 @@ def train(
         log.info("epoch %d: train_nll=%.4f dev_ppl=%s lr=%g", epoch, train_nll, dev_ppl, lr)
         # schedule: the rate never increases
         if config.decay_mode == "plateau" and not math.isnan(dev_ppl):
-            if best_dev < math.inf and (best_dev - dev_ppl) <= config.plateau_threshold * best_dev:
+            if best_dev < math.inf and (best_dev - dev_ppl) <= PLATEAU_THRESHOLD * best_dev:
                 lr *= config.lr_decay
             best_dev = min(best_dev, dev_ppl)
         elif config.decay_mode == "epoch" and epoch >= config.decay_start_epoch:

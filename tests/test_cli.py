@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,14 @@ def run(args):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "radnmt" in capsys.readouterr().out
+
+
+def test_python_m_radnmt_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(radnmt.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "radnmt", "--version"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"radnmt {radnmt.__version__}"
 
 
 def test_no_command_prints_help(capsys):
@@ -67,9 +79,10 @@ def test_load_config_roundtrip(tmp_path):
 
 def test_load_config_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("hiden=64\n", encoding="utf-8")
-    with pytest.raises(UsageError, match="hiden"):
-        load_config(cfg)
+    for key in ("hiden", "feat_vocab"):
+        cfg.write_text(f"{key}=64\n", encoding="utf-8")
+        with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
+            load_config(cfg)
 
 
 def test_load_config_type_mismatch(tmp_path):
@@ -338,6 +351,25 @@ def test_eval_source_with_lone_cr(trained_dir, tmp_path):
     ])
     assert code == 0
     assert (out / "hypotheses.txt").read_text(encoding="utf-8").count("\n") == 1
+
+
+@pytest.mark.parametrize("setting", ["clip=-1", "clip=0", "clip=nan", "lr=nan", "lr=inf"])
+def test_non_finite_or_non_positive_rate_or_clip_is_usage_error(setting, tmp_path, capsys):
+    src, tgt = radnmt.toy_corpus_paths()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setting + "\n", encoding="utf-8")
+    code = dispatch([
+        "train", "--config", str(cfg),
+        "--train-src", str(src), "--train-tgt", str(tgt),
+        "--dev-src", str(src), "--dev-tgt", str(tgt),
+        "--out", str(tmp_path / "o"),
+        "--hidden", "8", "--char-embed", "6", "--feat-embed", "2", "--epochs", "3",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "must be finite and positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "checkpoints").exists()
 
 
 def test_train_seed_env_fallback(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 import radnmt
 from radnmt.errors import DataError
 from radnmt.radicals import (
+    _HAN_RANGES,
     KANGXI_GLYPHS,
     N_RADICALS,
     bundled_table_paths,
@@ -63,9 +66,38 @@ def test_prolonged_sound_and_iteration_marks_are_symbol_class(table):
 
 
 def test_unknown_han_falls_through_to_symbol_with_counter(table):
-    before = table.unknown_han_count
+    assert ord("㐀") not in table.han_map
     assert table.radical_of("㐀") == table.symbol_radical
-    assert table.unknown_han_count == before + 1
+    assert table.unknown_han("㐀鉄あ") == 1
+    assert table.unknown_han("") == 0
+    assert table.annotate("㐀㐁鉄") == [table.symbol_radical, table.symbol_radical, 167]
+    assert table == radnmt.load_bundled_table()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.symbol_radical = 1
+
+
+def _reference_radical(table, ch):
+    """The documented rules, tried in order: the Kangxi block, then 1..5."""
+    cp = ord(ch)
+    if 0x2F00 <= cp <= 0x2FD5:
+        return cp - 0x2F00 + 1
+    if any(cp in r for r in _HAN_RANGES):
+        return table.han_map.get(cp, table.symbol_radical)
+    if cp in table.kana_map:
+        return table.kana_map[cp][1]
+    if 0xFF01 <= cp <= 0xFF5E:  # fullwidth ASCII folds to ASCII
+        ch = chr(cp - 0xFEE0)
+    if ch in table.numeral_map:
+        return table.numeral_map[ch]
+    if "A" <= ch <= "Z" or "a" <= ch <= "z":
+        return table.latin_radical
+    return table.symbol_radical
+
+
+def test_resolved_map_follows_rule_order_everywhere(table):
+    edges = [cp + d for r in _HAN_RANGES for cp in (r.start, r[-1]) for d in (-1, 0, 1)]
+    for cp in [*range(0x10000), *edges]:
+        assert table.radical_of(chr(cp)) == _reference_radical(table, chr(cp)), hex(cp)
 
 
 def test_annotate_alignment_and_examples(table):
