@@ -1,9 +1,12 @@
 """Dense float64 tensors with a minimal reverse-mode differentiation tape.
 
-Ops executed while a Tape is active are recorded in execution order
-(which is already a topological order); backward() replays the records
-once, in reverse, accumulating vector-Jacobian products. Ops executed
-with no active tape run forward-only.
+One Tape at most records per thread; ops executed while it is active
+are recorded in execution order (already a topological order), and
+backward() replays the records once, in reverse. Every VJP returns one
+gradient per input: those reaching op outputs are summed, those reaching
+requires_grad leaves go to .grad, and those reaching constants are
+dropped. Ops executed with no active tape run forward-only. Dropout
+masks come pre-scaled: 1 / (1 - p) on kept lanes, 0 on dropped ones.
 
 Everything is float64. Every op checks its output for NaN/Inf and
 raises NumericError rather than letting poison propagate. lstm and the
@@ -24,18 +27,9 @@ from .errors import ContractError, NumericError, ShapeError, TapeError, UsageErr
 _LOCAL = threading.local()
 
 
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
-
-
 def active_tape():
-    """The innermost active Tape on this thread, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """The Tape recording on this thread, or None."""
+    return getattr(_LOCAL, "tape", None)
 
 
 class Tensor:
@@ -79,34 +73,21 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{label})"
 
 
-class _Record:
-    """One op on the tape: vjp takes one gradient per output, in order."""
-
-    __slots__ = ("outputs", "inputs", "vjp")
-
-    def __init__(self, outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp: Callable):
-        self.outputs = outputs
-        self.inputs = inputs
-        self.vjp = vjp
-
-
 class Tape:
-    """Ordered record of differentiable ops. Confined to one thread."""
+    """Ordered record of differentiable ops; the only one recording on its thread."""
 
     def __init__(self):
-        self._records: list[_Record] = []
+        # (outputs, inputs, vjp); vjp takes one gradient per output, in order
+        self._records: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise TapeError("a tape is already recording on this thread; tapes do not nest")
+        _LOCAL.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
-        if popped is not self:  # pragma: no cover - indicates interleaved misuse
-            raise TapeError("tape context exited out of order")
-
-    def record(self, outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-        self._records.append(_Record(outputs, inputs, vjp))
+        _LOCAL.tape = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -119,11 +100,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     output's are summed until its own record is. Callers zero gradients
     between steps, so calling twice on the same tape doubles them. An
     output of a multi-output op that the loss does not reach gets a zero
-    gradient.
+    gradient; a gradient reaching a constant is dropped.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    produced = {id(out) for rec in tape._records for out in rec.outputs}
+    produced = {id(out) for outputs, _, _ in tape._records for out in outputs}
     flowing: dict[int, np.ndarray] = {}
 
     def send(tensor: Tensor, grad: np.ndarray) -> None:
@@ -134,14 +115,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
             tensor.accumulate_grad(grad)
 
     send(loss, np.ones_like(loss.data))
-    for rec in reversed(tape._records):
-        gs = [flowing.pop(id(out), None) for out in rec.outputs]
+    for outputs, inputs, vjp in reversed(tape._records):
+        gs = [flowing.pop(id(out), None) for out in outputs]
         if all(g is None for g in gs):
             continue
-        gs = [np.zeros_like(out.data) if g is None else g for out, g in zip(rec.outputs, gs)]
-        for tensor, grad in zip(rec.inputs, rec.vjp(*gs)):
-            if grad is not None:
-                send(tensor, grad)
+        gs = [np.zeros_like(out.data) if g is None else g for out, g in zip(outputs, gs)]
+        for tensor, grad in zip(inputs, vjp(*gs)):
+            send(tensor, grad)
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
@@ -154,16 +134,11 @@ def _emit(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable):
     datas = out_data if isinstance(out_data, tuple) else (out_data,)
     for data in datas:
         _finite_or_raise(data, op)
-    needs = False
-    stack = _tape_stack()
-    if stack:
-        for t in inputs:
-            if t.requires_grad:
-                needs = True
-                break
+    tape = active_tape()
+    needs = tape is not None and any(t.requires_grad for t in inputs)
     outs = tuple(Tensor(data, requires_grad=needs) for data in datas)
     if needs:
-        stack[-1].record(outs, tuple(inputs), vjp)
+        tape._records.append((outs, tuple(inputs), vjp))
     return outs if isinstance(out_data, tuple) else outs[0]
 
 
@@ -177,10 +152,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        return (
-            g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None,
-        )
+        return g @ b.data.T, a.data.T @ g
 
     return _emit("matmul", out, (a, b), vjp)
 
@@ -192,10 +164,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return (
-            g if a.requires_grad else None,
-            g.sum(axis=0) if b.requires_grad else None,
-        )
+        return g, g.sum(axis=0)
 
     return _emit("add", out, (a, b), vjp)
 
@@ -206,7 +175,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def vjp(g):
-        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
+        return g * b.data, g * a.data
 
     return _emit("mul", out, (a, b), vjp)
 
@@ -291,12 +260,7 @@ def lstm(xw: Tensor, Wh: Tensor, h0: Tensor, c0: Tensor, mask=None, reverse: boo
             dc = _cell_vjp(dh * m, dc * m, acts[t], c_prev[t], tanh_c[t], dgates[t]) + dc * ~m
             dh = dgates[t] @ Wh.data.T + dh * ~m
         flat = dgates.reshape(length * batch, 4 * q)
-        return (
-            flat if xw.requires_grad else None,
-            h_prev.reshape(length * batch, q).T @ flat if Wh.requires_grad else None,
-            dh if h0.requires_grad else None,
-            dc if c0.requires_grad else None,
-        )
+        return flat, h_prev.reshape(length * batch, q).T @ flat, dh, dc
 
     return _emit("lstm", (H.transpose(1, 0, 2), h, c), (xw, Wh, h0, c0), vjp)
 
@@ -309,17 +273,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         out = np.concatenate(parts, axis=axis)
     except ValueError as exc:
         raise ShapeError(f"concat axis={axis}: {[t.shape for t in tensors]}") from exc
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
 
     def vjp(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.moveaxis(moved[offsets[i] : offsets[i + 1]], 0, axis)
-            if t.requires_grad
-            else None
-            for i, t in enumerate(tensors)
-        )
+        return np.split(g, cuts, axis=axis)
 
     return _emit("concat", out, tuple(tensors), vjp)
 
@@ -345,26 +302,25 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _emit("embedding_lookup", out, (table,), vjp)
 
 
-def dropout_apply(x: Tensor, keep_mask: np.ndarray, scale: float) -> Tensor:
-    """Inverted dropout: multiply by a 0/1 mask and rescale kept lanes."""
-    keep_mask = np.asarray(keep_mask, dtype=np.float64)
-    if keep_mask.shape != x.data.shape:
-        raise ShapeError(f"dropout mask shape {keep_mask.shape} != input {x.shape}")
-    out = x.data * keep_mask * scale
+def dropout_apply(x: Tensor, keep: np.ndarray) -> Tensor:
+    """Inverted dropout: multiply by a keep mask that make_dropout_mask pre-scaled."""
+    keep = np.asarray(keep, dtype=np.float64)
+    if keep.shape != x.data.shape:
+        raise ShapeError(f"dropout mask shape {keep.shape} != input {x.shape}")
+    out = x.data * keep
 
     def vjp(g):
-        return (g * keep_mask * scale,)
+        return (g * keep,)
 
     return _emit("dropout", out, (x,), vjp)
 
 
-def make_dropout_mask(shape, drop_p: float, rng: np.random.Generator):
-    """Sample a keep mask and its inverted-dropout scale for drop probability drop_p."""
+def make_dropout_mask(shape, drop_p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sample an inverted-dropout keep mask: 1 / (1 - drop_p) where kept, 0 where dropped."""
     if not 0.0 <= drop_p < 1.0:
         raise UsageError(f"drop probability must be in [0, 1), got {drop_p}")
     keep = 1.0 - drop_p
-    mask = (rng.random(shape) < keep).astype(np.float64)
-    return mask, 1.0 / keep
+    return np.where(rng.random(shape) < keep, 1.0 / keep, 0.0)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -427,7 +383,7 @@ def decoder(
 
     Row t*B + b of emb is the input embedding of step t of batch row b.
     Each step runs decoder_step from (h0, c0) and a zero h~; its h~, times
-    feed_keep[t] if given (a scaled dropout keep mask, (T, B, q)), is row
+    feed_keep[t] if given (make_dropout_mask's keep masks, (T, B, q)), is row
     block t of H~ and the next step's fed-back input. The BPTT VJP runs only data-gradient
     products in its loop; each weight gets one product over all T*B rows.
     """
@@ -470,17 +426,14 @@ def decoder(
 
         flat, n = dgates.reshape(length * batch, 4 * q), length * batch
         return (
-            flat @ Wx.data[:p1].T if emb.requires_grad else None,
-            dh if h0.requires_grad else None,
-            dc if c0.requires_grad else None,
+            flat @ Wx.data[:p1].T, dh, dc,
             # d vectors[b] = sum over t of A^T dctx + dscores^T proj, as one batched product
-            np.concatenate([A, dscores]).transpose(1, 2, 0) @ np.concatenate([dctx, proj]).transpose(1, 0, 2)
-            if vectors.requires_grad else None,
-            X.reshape(n, -1).T @ flat if Wx.requires_grad else None,
-            H_prev.reshape(n, q).T @ flat if Wh.requires_grad else None,
-            flat.sum(axis=0) if b.requires_grad else None,
-            H.reshape(n, q).T @ dproj.reshape(n, 2 * q) if attn_W.requires_grad else None,
-            HC.reshape(n, 3 * q).T @ dpre.reshape(n, q) if attn_out_W.requires_grad else None,
+            np.concatenate([A, dscores]).transpose(1, 2, 0) @ np.concatenate([dctx, proj]).transpose(1, 0, 2),
+            X.reshape(n, -1).T @ flat,
+            H_prev.reshape(n, q).T @ flat,
+            flat.sum(axis=0),
+            H.reshape(n, q).T @ dproj.reshape(n, 2 * q),
+            HC.reshape(n, 3 * q).T @ dpre.reshape(n, q),
         )
 
     return _emit("decoder", Y.reshape(length * batch, q), inputs, vjp)

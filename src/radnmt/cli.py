@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .corpus import Vocab, build_vocab, encode_corpus, read_parallel
-from .errors import DataError, NumericError, RadnmtError, UsageError, read_utf8
+from .errors import DataError, NumericError, RadnmtError, UsageError, read_lines
 from .evaluation import TOKENIZATIONS, evaluate
 from .decoding import translate_file
 from .model import ModelConfig, ModelParams, forward_loss, load_checkpoint
@@ -59,7 +59,7 @@ PROFILES = {
 def load_config(path) -> dict:
     """Parse a flat key=value file against the schema."""
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -233,8 +233,7 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_build_vocab(args) -> int:
-    lines = read_utf8(args.input).splitlines()
-    vocab = build_vocab(lines, min_count=args.min_count, max_size=args.max_size)
+    vocab = build_vocab(read_lines(args.input), min_count=args.min_count, max_size=args.max_size)
     vocab.save(args.output)
     write_run_manifest(
         Path(args.output).with_suffix(Path(args.output).suffix + ".manifest.json"),
@@ -261,6 +260,8 @@ def _cmd_train(args) -> int:
     }
     cfg = resolve_config(file_values, flags, args.profile)
     seed = _resolve_seed(args, cfg)
+    if cfg["max_src_len"] < 1:
+        raise UsageError(f"max_src_len must be >= 1, got {cfg['max_src_len']}")
     out_dir = Path(args.out)
     tconfig = TrainConfig(
         lr=cfg["lr"],

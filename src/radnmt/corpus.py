@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_utf8
+from .errors import DataError, read_lines, read_utf8
 from .radicals import N_RADICALS, RadicalTable
 from .seeding import derive_rng
 
@@ -111,16 +111,8 @@ def build_vocab(sentences, min_count: int = 1, max_size: int | None = None) -> V
 
 
 def read_parallel(src_path, tgt_path) -> list[tuple[str, str]]:
-    """Line-aligned sentence pairs from two UTF-8 files."""
-
-    def read_lines(path) -> list[str]:
-        lines = read_utf8(path).split("\n")
-        if lines and lines[-1] == "":  # trailing newline
-            lines.pop()
-        return lines
-
-    src_lines = read_lines(src_path)
-    tgt_lines = read_lines(tgt_path)
+    """Line-aligned sentence pairs from two UTF-8 files (lines as errors.read_lines)."""
+    src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise DataError(
             f"line count mismatch: {len(src_lines)} vs {len(tgt_lines)} "

@@ -17,7 +17,6 @@ i.e. off).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .autodiff import log_softmax
 from .corpus import BOS, EOS, PAD, Vocab, encode_pair
-from .errors import DataError, RadnmtError, read_utf8
+from .errors import DataError, RadnmtError, read_lines
 from .model import ModelParams, decode_step, encode, init_decoder_state
 from .radicals import RadicalTable
 
@@ -136,11 +135,9 @@ def translate_file(
 ) -> int:
     """Translate line by line, preserving order. Returns the line count."""
     input_path, output_path = Path(input_path), Path(output_path)
-    src = io.StringIO(read_utf8(input_path), newline=None)  # universal newlines, as open()
-    count = 0
+    lines = read_lines(input_path)
     with output_path.open("w", encoding="utf-8") as dst:
-        for lineno, raw in enumerate(src, 1):
-            line = raw.rstrip("\n")
+        for lineno, line in enumerate(lines, 1):
             try:
                 out = translate_line(
                     params, table, src_vocab, tgt_vocab, line,
@@ -152,5 +149,4 @@ def translate_file(
             except OSError as exc:
                 raise DataError(f"{input_path}:{lineno}: {exc}") from exc
             dst.write(out + "\n")
-            count += 1
-    return count
+    return len(lines)

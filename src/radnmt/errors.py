@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one UTF-8 reader.
+"""Exception hierarchy shared across the package, and the one UTF-8 and line reader.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 NumericError -> 3.
@@ -32,7 +32,7 @@ class ShapeError(NumericError):
 
 
 class TapeError(UsageError):
-    """Misuse of the differentiation tape (e.g. backward after clear)."""
+    """Misuse of the differentiation tape (e.g. a second tape on one thread)."""
 
 
 class ContractError(RadnmtError):
@@ -46,3 +46,16 @@ def read_utf8(path) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file (read_utf8), as every line-oriented input is read.
+
+    A line ends at "\n", and one "\r" before it is dropped, so CRLF reads as
+    LF; a final "\n" starts no further line. A lone "\r", U+2028 and every
+    other separator stay inside their line.
+    """
+    lines = read_utf8(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]

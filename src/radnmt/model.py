@@ -212,7 +212,7 @@ def encode(
         params["src_feat_emb"] if params.feature_path else None,
     )
     if drop_p > 0.0:
-        x = ad.dropout_apply(x, *ad.make_dropout_mask(x.shape, drop_p, rng))
+        x = ad.dropout_apply(x, ad.make_dropout_mask(x.shape, drop_p, rng))
     zeros = Tensor(np.zeros((batch, q)))
     (fwd, _, _), (bwd, bwd_h, bwd_c) = (
         ad.lstm(
@@ -281,8 +281,8 @@ def forward_loss(
         widths = (params.config.char_embed_dim, params.config.hidden_size)
         draws = [ad.make_dropout_mask((batch.size, n), drop_p, rng)
                  for _ in range(batch.tgt.shape[1] - 1) for n in widths]
-        emb = ad.dropout_apply(emb, np.concatenate([m for m, _ in draws[::2]]), draws[0][1])
-        feed_keep = np.stack([m for m, _ in draws[1::2]]) * draws[0][1]
+        emb = ad.dropout_apply(emb, np.concatenate(draws[::2]))
+        feed_keep = np.stack(draws[1::2])
     weights = (params[name] for name in _DECODER_WEIGHTS)
     h_tildes = ad.decoder(emb, h0, c0, ann.vectors, ann.mask, *weights, feed_keep=feed_keep)
     logits = output_logits(h_tildes, params)

@@ -25,14 +25,13 @@ noisy corpora annotate cleanly; RadicalTable.unknown_han counts them.
 
 from __future__ import annotations
 
-import io
 import string
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataError, read_utf8
+from .errors import DataError, read_lines
 
 N_RADICALS = 214
 
@@ -149,7 +148,7 @@ def load_radical_table(han_path, kana_path) -> RadicalTable:
     """
     han_path, kana_path = Path(han_path), Path(kana_path)
     han_map: dict[int, int] = {}
-    for lineno, raw in enumerate(read_utf8(han_path).splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(han_path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -166,13 +165,12 @@ def load_radical_table(han_path, kana_path) -> RadicalTable:
         han_map[cp] = index
 
     kana_map: dict[int, tuple[int, int]] = {}
-    for lineno, raw in enumerate(read_utf8(kana_path).splitlines(), 1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(read_lines(kana_path), 1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 2 or len(fields[0]) != 1 or len(fields[1]) != 1:
-            raise DataError(f"{kana_path}:{lineno}: expected kana<TAB>kanji, got {raw!r}")
+            raise DataError(f"{kana_path}:{lineno}: expected kana<TAB>kanji, got {line!r}")
         kana_cp, src_cp = ord(fields[0]), ord(fields[1])
         index = han_map.get(src_cp)
         if index is None:
@@ -241,15 +239,12 @@ def annotate_file(table: RadicalTable, input_path, output_path) -> int:
 
     Returns the number of lines written.
     """
-    src = io.StringIO(read_utf8(input_path), newline=None)  # universal newlines, as open()
-    count = 0
+    lines = read_lines(input_path)
     with Path(output_path).open("w", encoding="utf-8") as dst:
-        for line in src:
-            text = line.rstrip("\n")
+        for text in lines:
             pairs = " ".join(f"{ch}|{index}" for ch, index in zip(text, table.annotate(text)))
             dst.write(pairs + "\n")
-            count += 1
-    return count
+    return len(lines)
 
 
 def describe(ch: str, table: RadicalTable) -> str:

@@ -57,8 +57,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
+        if not 1 <= self.eval_every <= self.epochs:
+            raise ConfigError(f"eval_every must be in 1..epochs ({self.epochs}), got {self.eval_every}")
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radnmt import autodiff as ad
-from radnmt.errors import NumericError, ShapeError, UsageError
+from radnmt.errors import NumericError, ShapeError, TapeError, UsageError
 from radnmt.seeding import derive_rng
 
 
@@ -78,6 +78,7 @@ def test_backward_linear_map_exact():
         loss = total(ad.matmul(W, x))
     ad.backward(loss, tape)
     np.testing.assert_array_equal(W.grad, np.ones((3, 1)) @ x.data.T)
+    assert x.grad is None  # a constant input gets no gradient
 
 
 def test_unused_parameter_has_no_gradient():
@@ -88,6 +89,15 @@ def test_unused_parameter_has_no_gradient():
     ad.backward(loss, tape)
     assert used.grad is not None
     assert unused.grad is None  # treated as zero downstream
+
+
+def test_nested_tape_raises():
+    with ad.Tape() as outer:
+        with pytest.raises(TapeError, match="already recording"):
+            with ad.Tape():
+                pass
+        assert ad.active_tape() is outer
+    assert ad.active_tape() is None
 
 
 def test_double_backward_doubles_grads():
@@ -154,16 +164,14 @@ def test_softmax_masked_lanes_are_exactly_zero():
 def test_dropout_keep_probability_one_is_identity():
     rng = derive_rng(10, "dropout")
     x = ad.Tensor(rng.normal(size=(4, 6)))
-    mask, scale = ad.make_dropout_mask(x.shape, 0.0, derive_rng(0, "mask"))
-    out = ad.dropout_apply(x, mask, scale)
+    out = ad.dropout_apply(x, ad.make_dropout_mask(x.shape, 0.0, derive_rng(0, "mask")))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_inverted_scaling_preserves_expectation():
     rng = derive_rng(11, "dropout-exp")
     x = ad.Tensor(np.ones((200, 50)))
-    mask, scale = ad.make_dropout_mask(x.shape, 0.3, rng)
-    out = ad.dropout_apply(x, mask, scale)
+    out = ad.dropout_apply(x, ad.make_dropout_mask(x.shape, 0.3, rng))
     assert out.data.mean() == pytest.approx(1.0, abs=0.02)
 
 
@@ -241,7 +249,7 @@ def _op_cases(rng):
     # 3 steps over a ragged pair of sources (4 and 2 real positions)
     dec = decoder_inputs(rng, 3, 2, 4, 3, 3)
     dec_mask = np.array([[True, True, True, True], [True, True, False, False]])
-    feed_mask, feed_scale = ad.make_dropout_mask((3, 2, 3), 0.4, derive_rng(1, "drop"))
+    feed_mask = ad.make_dropout_mask((3, 2, 3), 0.4, derive_rng(1, "drop"))
 
     def decoder_loss(feed_keep):
         emb, h0, c0, vectors, *weights = dec
@@ -250,7 +258,7 @@ def _op_cases(rng):
     logits = T(rng, 3, 5)
     targets = np.array([1, 0, 4])
     mask = np.array([1.0, 1.0, 0.0])
-    drop_mask, scale = ad.make_dropout_mask((3, 4), 0.4, derive_rng(0, "drop"))
+    drop_mask = ad.make_dropout_mask((3, 4), 0.4, derive_rng(0, "drop"))
     return [
         ("matmul", lambda: weighted(ad.matmul(a, b)), [a, b]),
         ("add_bias", lambda: weighted(ad.add(x, bias)), [x, bias]),
@@ -258,14 +266,14 @@ def _op_cases(rng):
         ("tanh", lambda: weighted(ad.tanh(x)), [x]),
         ("concat", lambda: weighted(ad.concat([x, y], axis=1)), [x, y]),
         ("embedding", lambda: weighted(ad.embedding_lookup(emb, np.array([0, 2, 2]))), [emb]),
-        ("dropout", lambda: weighted(ad.dropout_apply(x, drop_mask, scale)), [x]),
+        ("dropout", lambda: weighted(ad.dropout_apply(x, drop_mask)), [x]),
         ("masked_nll", lambda: ad.masked_nll(logits, targets, mask), [logits]),
         ("lstm", lambda: lstm_loss(False), [xw, Wh, h0, c0]),
         ("lstm_reverse", lambda: lstm_loss(True), [xw, Wh, h0, c0]),
         # one leaf as both h0 and c0: two gradients for it from one record
         ("lstm_shared_init", lambda: lstm_loss(False, c_init=h0), [xw, Wh, h0]),
         ("decoder", lambda: decoder_loss(None), dec),
-        ("decoder_feed_dropout", lambda: decoder_loss(feed_mask * feed_scale), dec),
+        ("decoder_feed_dropout", lambda: decoder_loss(feed_mask), dec),
     ]
 
 

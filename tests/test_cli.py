@@ -340,7 +340,7 @@ def test_non_utf8_input_is_data_error(command, trained_dir, tmp_path, capsys):
 
 
 def test_eval_source_with_lone_cr(trained_dir, tmp_path):
-    # read_parallel splits on "\n" only, so the "\r" stays inside the one source line
+    # a lone "\r" stays inside the one source line (errors.read_lines)
     src, ref = tmp_path / "src.txt", tmp_path / "ref.txt"
     src.write_bytes("鉄の\r実験\n".encode("utf-8"))
     ref.write_text("铁的实验\n", encoding="utf-8")
@@ -353,7 +353,8 @@ def test_eval_source_with_lone_cr(trained_dir, tmp_path):
     assert (out / "hypotheses.txt").read_text(encoding="utf-8").count("\n") == 1
 
 
-@pytest.mark.parametrize("setting", ["clip=-1", "clip=0", "clip=nan", "lr=nan", "lr=inf"])
+@pytest.mark.parametrize("setting", ["clip=-1", "clip=0", "clip=nan", "lr=nan", "lr=inf",
+                                     "max_src_len=0", "max_src_len=-3", "eval_every=31"])
 def test_non_finite_or_non_positive_rate_or_clip_is_usage_error(setting, tmp_path, capsys):
     src, tgt = radnmt.toy_corpus_paths()
     cfg = tmp_path / "run.cfg"
@@ -366,10 +367,34 @@ def test_non_finite_or_non_positive_rate_or_clip_is_usage_error(setting, tmp_pat
         "--hidden", "8", "--char-embed", "6", "--feat-embed", "2", "--epochs", "3",
     ])
     err = capsys.readouterr().err
+    key = setting.partition("=")[0]
     assert code == 1
-    assert "must be finite and positive" in err
+    assert f"{'max_norm' if key == 'clip' else key} must be" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "o" / "checkpoints").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_line_reader_splits_lines_alike(tmp_path):
+    # CRLF ends a line as LF does; a lone "\r" and U+2028 stay inside their line
+    src, tgt = tmp_path / "train.ja", tmp_path / "train.zh"
+    src.write_bytes("鉄の実験\r\n金属\u2028水\n".encode("utf-8"))
+    tgt.write_text("铁的实验\n金属水\n", encoding="utf-8")
+    run_dir, vocab = tmp_path / "run", tmp_path / "vocab.tsv"
+    assert dispatch([
+        "train", "--train-src", str(src), "--train-tgt", str(tgt),
+        "--dev-src", str(src), "--dev-tgt", str(tgt), "--out", str(run_dir),
+        "--hidden", "8", "--char-embed", "6", "--feat-embed", "2", "--epochs", "1",
+    ]) == 0
+    assert dispatch(["build-vocab", "--input", str(src), "--output", str(vocab)]) == 0
+    assert vocab.read_bytes() == (run_dir / "src_vocab.tsv").read_bytes()
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    inp.write_bytes("鉄の\r実験\n".encode("utf-8"))
+    model = run_dir / "checkpoints" / "epoch_0001.rnmt"
+    assert dispatch([
+        "translate", "--model", str(model), "--input", str(inp), "--output", str(out),
+        "--beam", "1", "--max-len", "4",
+    ]) == 0
+    assert out.read_bytes().count(b"\n") == 1
 
 
 def test_train_seed_env_fallback(tmp_path, monkeypatch):

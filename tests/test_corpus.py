@@ -45,7 +45,7 @@ def test_build_vocab_max_size_truncates():
 
 
 def test_vocab_roundtrip_through_file(tmp_path):
-    v = build_vocab(["鉄の実験\tタブ", "実験データ\r"])  # read_parallel keeps CRLF's "\r"
+    v = build_vocab(["鉄の実験\tタブ", "実験データ\r"])  # "\r" reaches a vocabulary: read_lines keeps a lone one
     path = tmp_path / "vocab.tsv"
     v.save(path)
     again = Vocab.load(path)
