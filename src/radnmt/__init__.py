@@ -27,7 +27,14 @@ from .corpus import (
     read_parallel,
     toy_corpus_paths,
 )
-from .decoding import Hypothesis, beam_search, translate_file, translate_line
+from .decoding import (
+    Hypothesis,
+    beam_search,
+    beam_search_many,
+    translate_file,
+    translate_line,
+    translate_lines,
+)
 from .evaluation import BleuReport, bleu, evaluate
 from .model import (
     Annotations,

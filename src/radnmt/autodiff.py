@@ -12,7 +12,8 @@ Everything is float64. Every op checks its output for NaN/Inf and
 raises NumericError rather than letting poison propagate. lstm and the
 attentional decoder each run a whole recurrence as one record with a
 hand-derived BPTT VJP, on one shared LSTM cell; decoder's step is the
-plain-numpy decoder_step, which decoding calls one step at a time.
+plain-numpy decoder_step, which beam search runs one step at a time
+over the hypotheses of many sentences.
 """
 
 from __future__ import annotations
@@ -358,20 +359,29 @@ def masked_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
 def decoder_step(emb, h_tilde, h, c, vectors, mask, Wx, Wh, b, attn_W, attn_out_W):
     """One step of the attentional decoder with input feeding, in plain numpy.
 
-    An LSTM cell reads x = [emb; previous h~]. Its new h scores the (B, L, 2q)
+    An LSTM cell reads x = [emb; previous h~]. Its new h scores the
     annotations as (h @ attn_W) . v_j; a softmax over the positions where
-    the (B, L) mask is True weights them into a context c, and
-    h~ = tanh([h; c] @ attn_out_W). Returns ((h, c, h~), what decoder's VJP reads).
+    the mask is True weights them into a context c, and
+    h~ = tanh([h; c] @ attn_out_W). The (S, L, 2q) annotations and (S, L)
+    mask hold S sentences; consecutive groups of g = B // S of the B rows
+    share one (g = 1 in training, a sentence's hypotheses in beam search).
+    Returns ((h, c, h~), what decoder's VJP reads).
     """
     if not mask.any(axis=1).all():
         raise ContractError("decoder: a batch row has no unmasked source position")
+    (rows, _), (sents, length, width) = h.shape, vectors.shape
+    if rows % sents:
+        raise ShapeError(f"decoder: {rows} rows do not split into groups over {sents} sentences")
+    group = (sents, rows // sents)
     x = np.concatenate([emb, h_tilde], axis=1)
     acts, c_new, tanh_c, h_new = _cell(x @ Wx + b + h @ Wh, c, "decoder")
     proj = h_new @ attn_W
-    scores = np.where(mask, np.einsum("bk,blk->bl", proj, vectors), -np.inf)
+    scores = np.einsum("sgk,slk->sgl", proj.reshape(group + (width,)), vectors)
+    scores = np.where(mask[:, None], scores, -np.inf).reshape(rows, length)
     weights = np.exp(scores - scores.max(axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
-    hc = np.concatenate([h_new, np.einsum("bl,blk->bk", weights, vectors)], axis=1)
+    context = np.einsum("sgl,slk->sgk", weights.reshape(group + (length,)), vectors)
+    hc = np.concatenate([h_new, context.reshape(rows, width)], axis=1)
     return (h_new, c_new, np.tanh(hc @ attn_out_W)), (x, h, c, acts, tanh_c, proj, weights, hc)
 
 

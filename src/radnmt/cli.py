@@ -262,6 +262,8 @@ def _cmd_train(args) -> int:
     seed = _resolve_seed(args, cfg)
     if cfg["max_src_len"] < 1:
         raise UsageError(f"max_src_len must be >= 1, got {cfg['max_src_len']}")
+    if cfg["max_size"] < 0:
+        raise UsageError(f"max_size must be >= 0 (0 = unlimited), got {cfg['max_size']}")
     out_dir = Path(args.out)
     tconfig = TrainConfig(
         lr=cfg["lr"],
@@ -275,19 +277,14 @@ def _cmd_train(args) -> int:
         checkpoint_dir=str(out_dir / "checkpoints"),
         eval_every=cfg["eval_every"],
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     table = load_radical_table(args.han_table, args.kana_table)
     train_pairs = read_parallel(args.train_src, args.train_tgt)
     dev_pairs = read_parallel(args.dev_src, args.dev_tgt)
-    src_vocab = build_vocab([s for s, _ in train_pairs], min_count=cfg["min_count"],
-                            max_size=cfg["max_size"] or None)
-    tgt_vocab = build_vocab([t for _, t in train_pairs], min_count=cfg["min_count"],
-                            max_size=cfg["max_size"] or None)
-    src_vocab_path, tgt_vocab_path = _vocab_dir_paths(out_dir)
-    src_vocab.save(src_vocab_path)
-    tgt_vocab.save(tgt_vocab_path)
-
+    src_vocab, tgt_vocab = (
+        build_vocab([pair[side] for pair in train_pairs], min_count=cfg["min_count"],
+                    max_size=cfg["max_size"] or None)
+        for side in (0, 1)
+    )
     feat_dim = 0 if args.no_features else cfg["feat_embed"]
     mconfig = ModelConfig(
         src_vocab_size=len(src_vocab),
@@ -297,6 +294,11 @@ def _cmd_train(args) -> int:
         hidden_size=cfg["hidden"],
         dropout=cfg["dropout"],
     )
+    # --out is made only once every input and setting has been accepted
+    out_dir.mkdir(parents=True, exist_ok=True)
+    src_vocab_path, tgt_vocab_path = _vocab_dir_paths(out_dir)
+    src_vocab.save(src_vocab_path)
+    tgt_vocab.save(tgt_vocab_path)
     params = ModelParams.initialize(mconfig, seed, feature_path=not args.no_features)
     train_set = encode_corpus(train_pairs, src_vocab, tgt_vocab, table, cfg["max_src_len"])
     dev_set = encode_corpus(dev_pairs, src_vocab, tgt_vocab, table, max_chars=None)

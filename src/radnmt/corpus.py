@@ -174,7 +174,8 @@ class Batch:
         return self.src.shape[0]
 
 
-def _pad_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def pad_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """PAD-filled (len(rows), longest) id grid and its mask of real positions."""
     width = max(len(r) for r in rows)
     grid = np.full((len(rows), width), PAD, dtype=np.int64)
     mask = np.zeros((len(rows), width), dtype=bool)
@@ -203,10 +204,10 @@ def make_batches(examples: list[ExamplePair], batch_size: int = 10, seed: int = 
     batches = []
     for ci in chunk_order:
         rows = [examples[i] for i in chunks[ci]]
-        src, src_mask = _pad_rows([r.src_ids for r in rows])
-        feats, _ = _pad_rows([r.src_feats for r in rows])
+        src, src_mask = pad_rows([r.src_ids for r in rows])
+        feats, _ = pad_rows([r.src_feats for r in rows])
         feats[~src_mask] = EOS_FEATURE
-        tgt, tgt_mask = _pad_rows([r.tgt_ids for r in rows])
+        tgt, tgt_mask = pad_rows([r.tgt_ids for r in rows])
         batches.append(Batch(src, feats, src_mask, tgt, tgt_mask))
     return batches
 

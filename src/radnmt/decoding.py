@@ -1,34 +1,58 @@
-"""Beam-search translation.
+"""Beam-search translation, many sentences at once.
 
-The live beam is kept as arrays: token rows (k, t), cumulative
-log-probabilities (k,) and decoder state h, c, h~ (k, q). Each step
-scores all k*V extensions at once (PAD and BOS are masked to -inf, never
-emitted), keeps the top beam_size in ranked order and gathers the arrays
-by parent row; EOS-ended candidates move to a completed pool. Search
-stops when every kept candidate is finished or max_len is reached. Ties
-break toward the lexicographically smaller token sequence: live rows
-have equal length, so that is the parent's lexicographic rank, then the
-token id. Output is therefore platform-deterministic.
+beam_search_many decodes a list of sources together. The sources are
+padded into one encoder batch, and the live hypotheses sit in a
+(sentences x width) row grid: row s*width + j is slot j of sentence s.
+The width is the most live hypotheses any sentence has, at most
+beam_size. Slots a sentence does not fill are dead: they hold
+log-probability -inf, so none of their extensions is ever kept. Token
+rows, cumulative log-probabilities and the decoder state h, c, h~ are
+per-row arrays; the annotations stay one (L, 2q) block per sentence,
+which all of its rows read (ad.decoder_step).
+
+Each step scores all width*V extensions of every sentence at once (PAD
+and BOS are masked to -inf, never emitted) and keeps each sentence's top
+beam_size by an exact top-k. Ties break toward the lexicographically
+smaller token sequence: a sentence's live rows fill its first slots in
+lexicographic order, so ranking by (-score, slot, token id) is ranking
+by (-score, parent's lexicographic rank, token id), with dead slots
+last. EOS-ended candidates move to the sentence's completed pool; the
+rest become its next live rows, again in lexicographic order.
+
+A sentence retires when it has no live hypothesis or has run its own
+max_len steps (default_max_len of its source unless max_len is given),
+and its rows and annotations are compacted out of the grid. If nothing
+completed by then, its live hypotheses are returned with finished=False.
+beam_search is the one-sentence case, and each sentence of a grid gets
+the hypotheses it gets alone: padding its source to the grid's longest
+changes only the order of the attention softmax sums, so log-probabilities
+can differ in the last bits. Output is platform-deterministic.
 
 Scores are cumulative log-probabilities; an optional length exponent
 alpha rescales completed hypotheses as logprob / len^alpha (default 0,
-i.e. off).
+i.e. off) in each sentence's final ranking.
+
+translate_lines, and so translate_file and evaluate, decode
+length-sorted chunks of at most CHUNK_ROWS // beam_size sentences, which
+bounds the grid and the memory it takes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import log_softmax
-from .corpus import BOS, EOS, PAD, Vocab, encode_pair
+from .corpus import BOS, EOS, PAD, Vocab, encode_pair, pad_rows
 from .errors import DataError, RadnmtError, read_lines
 from .model import ModelParams, decode_step, encode, init_decoder_state
 from .radicals import RadicalTable
 
 DEFAULT_UNK_TOKEN = "〓"  # geta mark, the CJK "missing glyph" convention
+CHUNK_ROWS = 64  # grid rows of one translate_lines chunk: beam_size per sentence
 
 
 @dataclass
@@ -61,48 +85,100 @@ def beam_search(
     If nothing finished by max_len the best unfinished hypothesis is
     returned with finished=False.
     """
-    src_ids = np.asarray(src_ids, dtype=np.int64)
-    if src_ids.size == 0:
-        raise DataError("beam_search: empty source")
+    (hyps,) = beam_search_many(
+        params, [(src_ids, feat_ids)], beam_size, max_len, length_alpha, n_best
+    )
+    return hyps
+
+
+def beam_search_many(
+    params: ModelParams,
+    sources: list[tuple[np.ndarray, np.ndarray | None]],
+    beam_size: int = 5,
+    max_len: int | None = None,
+    length_alpha: float = 0.0,
+    n_best: int = 1,
+) -> list[list[Hypothesis]]:
+    """Decode (src_ids, feat_ids) sources in one grid; each source's n_best hypotheses."""
     if beam_size < 1:
         raise DataError(f"beam_size must be >= 1, got {beam_size}")
-    if max_len is None:
-        max_len = default_max_len(len(src_ids))
-    if max_len < 1:
+    if max_len is not None and max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
-    src = src_ids[None, :]
-    feats = None if feat_ids is None else np.asarray(feat_ids, dtype=np.int64)[None, :]
-    mask = np.ones_like(src, dtype=bool)
+    if not sources:
+        return []
+    srcs = [np.asarray(ids, dtype=np.int64) for ids, _ in sources]
+    if min(ids.size for ids in srcs) == 0:
+        raise DataError("beam_search: empty source")
+    src, mask = pad_rows(srcs)
+    feats = None if any(f is None for _, f in sources) else pad_rows([f for _, f in sources])[0]
     ann = encode(src, feats, mask, params)
-    h0, c0 = init_decoder_state(ann, params)
-    tokens = np.full((1, 1), BOS, dtype=np.int64)  # the BOS column is dropped on output
-    logprob = np.zeros(1)
-    h, c, h_tilde = h0.data, c0.data, np.zeros((1, params.config.hidden_size))
-    completed: list[Hypothesis] = []
-    for _ in range(max_len):
-        # every live row reads the one sentence's annotations
-        logits, (h, c), h_tilde = decode_step(tokens[:, -1], h_tilde, (h, c), ann, params)
-        lex = np.lexsort(tokens.T[::-1])  # live rows in lexicographic order
-        scores = (logprob[:, None] + log_softmax(logits))[lex]
+    h, c = (t.data for t in init_decoder_state(ann, params))
+    vectors = ann.vectors.data
+    limit = np.array([default_max_len(len(ids)) if max_len is None else max_len for ids in srcs])
+    sent = np.arange(len(srcs))  # grid sentence -> index into sources
+    tokens = np.full((len(srcs), 1), BOS, dtype=np.int64)  # the BOS column is dropped on output
+    logprob, h_tilde, width = np.zeros(len(srcs)), np.zeros_like(h), 1
+    completed: list[list[Hypothesis]] = [[] for _ in srcs]
+    vocab = params.config.tgt_vocab_size
+    for step in itertools.count(1):
+        logits, (h, c), h_tilde = decode_step(tokens[:, -1], h_tilde, (h, c), vectors, mask, params)
+        scores = logprob[:, None] + log_softmax(logits)
         scores[:, [PAD, BOS]] = -np.inf
-        # a stable sort breaks score ties by flat index (lex rank, token)
-        keep = np.argsort(-scores, axis=None, kind="stable")[:beam_size]
-        keep = keep[np.isfinite(scores.flat[keep])]
-        row, token = np.divmod(keep, scores.shape[1])
-        parent, logprob = lex[row], scores.flat[keep]
-        tokens = np.column_stack([tokens[parent], token])
+        s, flat = _top_k(scores.reshape(len(sent), width * vocab), beam_size)
+        row, token = np.divmod(flat, vocab)
+        row += s * width
+        lp = scores[row, token]
+        tokens = np.column_stack([tokens[row], token])
         done = token == EOS
-        completed.extend(
-            Hypothesis(t[1:].tolist(), float(lp), True) for t, lp in zip(tokens[done], logprob[done])
-        )
-        parent, tokens, logprob = parent[~done], tokens[~done], logprob[~done]
-        h, c, h_tilde = h[parent], c[parent], h_tilde[parent]
-        if logprob.size == 0:
+        for i in np.flatnonzero(done):
+            completed[sent[s[i]]].append(Hypothesis(tokens[i, 1:].tolist(), float(lp[i]), True))
+        live = ~done
+        n_live = np.bincount(s[live], minlength=len(sent))
+        retire = (n_live == 0) | (limit[sent] == step)
+        for j in np.flatnonzero(retire):
+            if not completed[sent[j]]:  # nothing finished by max_len: keep the unfinished
+                mine = live & (s == j)
+                completed[sent[j]] = [
+                    Hypothesis(t[1:].tolist(), float(v)) for t, v in zip(tokens[mine], lp[mine])
+                ]
+        live &= ~retire[s]
+        if not live.any():
             break
-    if not completed:
-        completed = [Hypothesis(t[1:].tolist(), float(lp)) for t, lp in zip(tokens, logprob)]
-    ranked = sorted(completed, key=lambda h: (-h.score(length_alpha), tuple(h.tokens)))
-    return ranked[:n_best]
+        # each staying sentence's live rows fill its first slots, still in lexicographic order
+        stay, s = ~retire, s[live]
+        width = n_live[stay].max()
+        slot = (np.cumsum(stay) - 1)[s] * width + np.arange(len(s)) - np.searchsorted(s, s)
+        parent = np.zeros(width * stay.sum(), dtype=np.int64)  # dead slots copy row 0
+        parent[slot] = row[live]
+        logprob = np.full(len(parent), -np.inf)
+        logprob[slot] = lp[live]
+        live_tokens, tokens = tokens[live], np.full((len(parent), step + 1), PAD, dtype=np.int64)
+        tokens[slot] = live_tokens
+        h, c, h_tilde = h[parent], c[parent], h_tilde[parent]
+        if retire.any():
+            sent, vectors, mask = sent[stay], vectors[stay], mask[stay]
+    return [
+        sorted(pool, key=lambda hyp: (-hyp.score(length_alpha), tuple(hyp.tokens)))[:n_best]
+        for pool in completed
+    ]
+
+
+def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each row's finite top k by (-score, column), in (row, column) order.
+
+    Exact with ties: a partition finds each row's k-th score, then every
+    entry at or above it is ranked, so which of several tied entries
+    survives never depends on the partition.
+    """
+    k = min(k, scores.shape[1])
+    kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1 : k]
+    row, col = np.nonzero(scores >= kth)  # in (row, column) order
+    value = scores[row, col]
+    order = np.lexsort((-value, row))  # stable: equal scores stay in column order
+    # order keeps the rows sorted, so position p is rank p - (first p of its row)
+    chosen = order[np.arange(len(order)) - np.searchsorted(row, row) < k]
+    chosen = np.sort(chosen[np.isfinite(value[chosen])])
+    return row[chosen], col[chosen]
 
 
 def translate_line(
@@ -121,6 +197,42 @@ def translate_line(
     return tgt_vocab.decode(best.tokens, unk_token=unk_token)
 
 
+def translate_lines(
+    params: ModelParams,
+    table: RadicalTable,
+    src_vocab: Vocab,
+    tgt_vocab: Vocab,
+    lines: list[str],
+    beam_size: int = 5,
+    max_len: int | None = None,
+    length_alpha: float = 0.0,
+    unk_token: str = DEFAULT_UNK_TOKEN,
+    source: str = "<lines>",
+) -> list[str]:
+    """The best translation of each line, in order.
+
+    Lines are decoded in chunks of CHUNK_ROWS // beam_size (at least one)
+    by source length. An error keeps its class, and so its exit code, and
+    names source and the 1-based numbers of the chunk's lines.
+    """
+    pairs = [encode_pair(line, "", src_vocab, tgt_vocab, table) for line in lines]
+    order = sorted(range(len(pairs)), key=lambda i: len(pairs[i].src_ids))
+    size = max(1, CHUNK_ROWS // max(1, beam_size))
+    out = [""] * len(pairs)
+    for chunk in (order[i : i + size] for i in range(0, len(order), size)):
+        try:
+            hyps = beam_search_many(
+                params, [(pairs[i].src_ids, pairs[i].src_feats) for i in chunk],
+                beam_size, max_len, length_alpha,
+            )
+        except RadnmtError as exc:
+            numbers = ",".join(str(i + 1) for i in sorted(chunk))
+            raise type(exc)(f"{source}:{numbers}: {exc}") from exc
+        for i, (best,) in zip(chunk, hyps):
+            out[i] = tgt_vocab.decode(best.tokens, unk_token=unk_token)
+    return out
+
+
 def translate_file(
     params: ModelParams,
     table: RadicalTable,
@@ -133,20 +245,15 @@ def translate_file(
     length_alpha: float = 0.0,
     unk_token: str = DEFAULT_UNK_TOKEN,
 ) -> int:
-    """Translate line by line, preserving order. Returns the line count."""
+    """Translate every line of input_path into output_path, in order. Returns the line count."""
     input_path, output_path = Path(input_path), Path(output_path)
     lines = read_lines(input_path)
     with output_path.open("w", encoding="utf-8") as dst:
-        for lineno, line in enumerate(lines, 1):
-            try:
-                out = translate_line(
-                    params, table, src_vocab, tgt_vocab, line,
-                    beam_size, max_len, length_alpha, unk_token,
-                )
-            except RadnmtError as exc:
-                # keep the error class (and so the exit code), add the line
-                raise type(exc)(f"{input_path}:{lineno}: {exc}") from exc
-            except OSError as exc:
-                raise DataError(f"{input_path}:{lineno}: {exc}") from exc
-            dst.write(out + "\n")
+        dst.writelines(
+            out + "\n"
+            for out in translate_lines(
+                params, table, src_vocab, tgt_vocab, lines,
+                beam_size, max_len, length_alpha, unk_token, str(input_path),
+            )
+        )
     return len(lines)

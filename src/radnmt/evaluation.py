@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Vocab, encode_corpus, read_parallel
-from .decoding import translate_line
+from .decoding import translate_lines
 from .errors import DataError
 from .model import ModelParams
 from .radicals import RadicalTable
@@ -116,10 +116,10 @@ def evaluate(
     examples = encode_corpus(pairs, src_vocab, tgt_vocab, table, max_chars=None)
     ppl = perplexity(params, examples, batch_size)
 
-    hypotheses = [
-        translate_line(params, table, src_vocab, tgt_vocab, src, beam_size, max_len)
-        for src, _ in pairs
-    ]
+    hypotheses = translate_lines(
+        params, table, src_vocab, tgt_vocab, [src for src, _ in pairs], beam_size, max_len,
+        source=str(src_path),
+    )
     references = [tgt for _, tgt in pairs]
     report = bleu(hypotheses, references, tokenization=tokenization, smoothing=smoothing)
     result = {

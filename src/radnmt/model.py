@@ -240,18 +240,18 @@ def decode_step(
     y_prev: np.ndarray,
     h_tilde_prev: np.ndarray,
     state: tuple[np.ndarray, np.ndarray],
-    ann: Annotations,
+    vectors: np.ndarray,
+    mask: np.ndarray,
     params: ModelParams,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """One untaped decoder step, as decoding runs it; returns (logits, (h, c), h~).
 
-    y_prev, h_tilde_prev and state hold one row per hypothesis; ann holds
-    either one row per hypothesis or one sentence that all rows share.
+    y_prev, h_tilde_prev and state hold one row per hypothesis; the
+    annotation arrays (S, L, 2q) and mask (S, L) hold S sentences, each
+    read by its own consecutive group of len(y_prev) // S rows.
     """
-    vectors = ann.vectors.data
     (h, c, h_tilde), _ = ad.decoder_step(
-        params["tgt_char_emb"].data[y_prev], h_tilde_prev, *state,
-        np.broadcast_to(vectors, (len(y_prev),) + vectors.shape[1:]), ann.mask,
+        params["tgt_char_emb"].data[y_prev], h_tilde_prev, *state, vectors, mask,
         *(params[name].data for name in _DECODER_WEIGHTS),
     )
     return output_logits(Tensor(h_tilde), params).data, (h, c), h_tilde

@@ -79,7 +79,7 @@ def replay_score(params, src, feats, tokens) -> float:
     ht = np.zeros((1, params.config.hidden_size))
     prev, total = BOS, 0.0
     for tok in tokens:
-        logits, state, ht = decode_step(np.array([prev]), ht, state, ann, params)
+        logits, state, ht = decode_step(np.array([prev]), ht, state, ann.vectors.data, mask, params)
         total += float(log_softmax(logits)[0][tok])
         prev = tok
     return total
@@ -112,7 +112,7 @@ def greedy_decode(params, src, feats, max_len: int):
     ht = np.zeros((1, params.config.hidden_size))
     prev, tokens, total = BOS, [], 0.0
     for _ in range(max_len):
-        logits, state, ht = decode_step(np.array([prev]), ht, state, ann, params)
+        logits, state, ht = decode_step(np.array([prev]), ht, state, ann.vectors.data, mask, params)
         lp = log_softmax(logits)[0]
         lp[PAD] = lp[BOS] = -np.inf
         best = lp.max()

@@ -354,7 +354,8 @@ def test_eval_source_with_lone_cr(trained_dir, tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["clip=-1", "clip=0", "clip=nan", "lr=nan", "lr=inf",
-                                     "max_src_len=0", "max_src_len=-3", "eval_every=31"])
+                                     "max_src_len=0", "max_src_len=-3", "eval_every=31",
+                                     "max_size=-3", "min_count=1000"])
 def test_non_finite_or_non_positive_rate_or_clip_is_usage_error(setting, tmp_path, capsys):
     src, tgt = radnmt.toy_corpus_paths()
     cfg = tmp_path / "run.cfg"
@@ -368,8 +369,10 @@ def test_non_finite_or_non_positive_rate_or_clip_is_usage_error(setting, tmp_pat
     ])
     err = capsys.readouterr().err
     key = setting.partition("=")[0]
+    # min_count=1000 admits no character: ModelConfig rejects the empty vocabularies
+    expected = {"clip": "max_norm must be", "min_count": "vocabularies must contain"}
     assert code == 1
-    assert f"{'max_norm' if key == 'clip' else key} must be" in err
+    assert expected.get(key, f"{key} must be") in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -1,12 +1,24 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import radnmt
-from radnmt.corpus import BOS, EOS, PAD
-from radnmt.decoding import Hypothesis, beam_search, translate_file, translate_line
-from radnmt.errors import DataError
+from radnmt import decoding
+from radnmt.corpus import BOS, EOS, PAD, encode_pair
+from radnmt.decoding import (
+    Hypothesis,
+    beam_search,
+    beam_search_many,
+    translate_file,
+    translate_line,
+)
+from radnmt.errors import DataError, NumericError
 from radnmt.model import ModelParams
 from radnmt.seeding import derive_rng
+from radnmt.training import TrainConfig, train
 
 from conftest import brute_force_best, greedy_decode, replay_score
 
@@ -158,6 +170,97 @@ def test_n_best_is_sorted_and_distinct():
     scores = [h.logprob for h in hyps]
     assert scores == sorted(scores, reverse=True)
     assert len({tuple(h.tokens) for h in hyps}) == len(hyps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 19),
+    shape=st.sampled_from(["5", "8", "zero-params"]),
+    beam=st.one_of(st.integers(1, 6), st.just(50)),  # 50 > every step's width * V
+    max_len=st.one_of(st.none(), st.integers(1, 4)),
+    sources=st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5)), max_size=5),
+        min_size=1, max_size=6,
+    ),
+)
+# greedy decoding of both sources runs to their own, different default max_len
+@example(seed=3, shape="5", beam=1, max_len=None, sources=[[(0, 1)], [(0, 1)] * 5])
+def test_many_sentences_decode_as_one_at_a_time(seed, shape, beam, max_len, sources):
+    # the two tiny-model shapes of the brute-force and greedy oracles, and the all-tie model
+    if shape == "zero-params":
+        params = _zero_model(src_vocab=8, tgt_vocab=8)
+    else:
+        vocab = int(shape)
+        params = _rand_model(seed, vocab, vocab, spread=0.5 if vocab == 5 else 0.4)
+    chars = params.config.src_vocab_size - 4  # ids 4.. are characters
+    arrays = [
+        (np.array([4 + ch % chars for ch, _ in src] + [EOS]), np.array([f for _, f in src] + [0]))
+        for src in sources
+    ]
+    together = beam_search_many(params, arrays, beam, max_len, n_best=beam)
+    assert len(together) == len(arrays)
+    for hyps, (src, feats) in zip(together, arrays):
+        alone = beam_search(params, src, feats, beam, max_len, n_best=beam)
+        assert [(h.tokens, h.finished) for h in hyps] == [(h.tokens, h.finished) for h in alone]
+        for got, want in zip(hyps, alone):
+            assert got.logprob == pytest.approx(want.logprob, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def toy_models(toy_data):
+    """Toy-shape models after 3 epochs, whose next-character distributions are
+    still nearly flat (near-ties), and after 40, whose translations differ
+    from line to line."""
+    sv, tv, examples = toy_data
+    config = radnmt.ModelConfig(
+        src_vocab_size=len(sv), tgt_vocab_size=len(tv),
+        char_embed_dim=24, feat_embed_dim=8, hidden_size=32, dropout=0.0,
+    )
+    params = ModelParams.initialize(config, seed=0)
+    models, done = {}, 0
+    for epochs in (3, 40):
+        train(params, examples, [], TrainConfig(lr=2.0, decay_mode="none", dropout=0.0,
+                                                batch_size=5, epochs=epochs - done, seed=0))
+        models[epochs], done = copy.deepcopy(params), epochs
+    return models
+
+
+@pytest.mark.parametrize("epochs", [3, 40])
+@pytest.mark.parametrize("beam", [1, 5, 10])
+def test_translate_file_equals_per_line_beam_search(beam, epochs, toy_models, table, toy_data,
+                                                     toy_pairs, tmp_path):
+    # 70 lines: more than one chunk holds even at beam 1, in no order of length
+    sv, tv, _ = toy_data
+    params = toy_models[epochs]
+    sources = [s for s, _ in toy_pairs]
+    rng = derive_rng(beam, "translate-order")
+    lines = [sources[i] for i in rng.permutation(len(sources))] + sources[:20]
+    assert len(lines) > decoding.CHUNK_ROWS // beam
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert translate_file(params, table, sv, tv, src, out, beam_size=beam) == len(lines)
+    expected = []
+    for line in lines:
+        pair = encode_pair(line, "", sv, tv, table)
+        best = beam_search(params, pair.src_ids, pair.src_feats, beam)[0]
+        expected.append(tv.decode(best.tokens, unk_token=decoding.DEFAULT_UNK_TOKEN) + "\n")
+    assert out.read_text(encoding="utf-8") == "".join(expected)
+
+
+@pytest.mark.parametrize("beam, named", [(5, "1,2,3"), (40, "2")])
+def test_translate_file_error_keeps_class_and_names_lines(beam, named, toy_models, table,
+                                                           toy_data, tmp_path, monkeypatch):
+    # beam 5 decodes the three lines as one chunk; beam 40 one line a chunk, shortest first
+    sv, tv, _ = toy_data
+
+    def failing_step(*args):
+        raise NumericError("decoder produced non-finite values")
+
+    monkeypatch.setattr(decoding, "decode_step", failing_step)
+    src = tmp_path / "in.txt"
+    src.write_text("鉄の実験。\n水\n金属を測定した。\n", encoding="utf-8")
+    with pytest.raises(NumericError, match=rf"in\.txt:{named}: decoder produced non-finite"):
+        translate_file(toy_models[3], table, sv, tv, src, tmp_path / "out.txt", beam_size=beam)
 
 
 def test_translate_file_order_and_determinism(table, toy_data, tmp_path):

@@ -214,8 +214,8 @@ def test_decode_step_shapes_and_determinism():
     ann = encode(batch.src, batch.feats, batch.src_mask, params)
     state = tuple(t.data for t in init_decoder_state(ann, params))
     ht = np.zeros((2, 4))
-    out1 = decode_step(batch.tgt[:, 0], ht, state, ann, params)
-    out2 = decode_step(batch.tgt[:, 0], ht, state, ann, params)
+    out1 = decode_step(batch.tgt[:, 0], ht, state, ann.vectors.data, ann.mask, params)
+    out2 = decode_step(batch.tgt[:, 0], ht, state, ann.vectors.data, ann.mask, params)
     assert out1[0].shape == (2, 8)  # tgt vocab logits
     np.testing.assert_array_equal(out1[0], out2[0])
 
@@ -227,8 +227,9 @@ def test_input_feeding_changes_logits():
     state = tuple(t.data for t in init_decoder_state(ann, params))
     rng = derive_rng(10, "feed")
     fed = rng.normal(size=(2, 4))
-    without = decode_step(batch.tgt[:, 0], np.zeros((2, 4)), state, ann, params)[0]
-    with_feed = decode_step(batch.tgt[:, 0], fed, state, ann, params)[0]
+    vectors, mask = ann.vectors.data, ann.mask
+    without = decode_step(batch.tgt[:, 0], np.zeros((2, 4)), state, vectors, mask, params)[0]
+    with_feed = decode_step(batch.tgt[:, 0], fed, state, vectors, mask, params)[0]
     assert params["dec_Wx"].data[4:, :].any()  # the h~ slice is nonzero
     assert not np.array_equal(with_feed, without)
 
