@@ -37,14 +37,12 @@ from .decoding import (
 )
 from .evaluation import BleuReport, bleu, evaluate
 from .model import (
-    Annotations,
     ModelConfig,
     ModelParams,
     decode_step,
     embed_with_features,
     encode,
     forward_loss,
-    init_decoder_state,
     load_checkpoint,
     save_checkpoint,
 )

@@ -453,12 +453,10 @@ def decoder(
 # parameter utilities
 
 
-def uniform_init(shape, low: float = -0.1, high: float = 0.1, rng: np.random.Generator | None = None) -> Tensor:
-    """I.i.d. uniform values in [low, high), as a trainable tensor."""
+def uniform_init(shape, rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> Tensor:
+    """I.i.d. uniform values in [low, high), drawn from rng, as a trainable tensor."""
     if low >= high:
         raise UsageError(f"uniform_init: low {low} must be < high {high}")
-    if rng is None:
-        raise UsageError("uniform_init: a seeded Generator is required")
     return Tensor(rng.uniform(low, high, size=shape), requires_grad=True)
 
 

@@ -112,15 +112,25 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def write_run_manifest(target, command: str, config: dict, seed: int, inputs: dict) -> Path:
-    """One manifest per run; identical manifests imply identical outputs."""
+def write_run_manifest(
+    target, args, inputs: tuple[str, ...], config: dict | None = None, seed: int = 0
+) -> Path:
+    """One manifest per run; identical manifests imply identical outputs.
+
+    inputs names the file arguments recorded by digest. config defaults
+    to every other parsed argument but the command and the output
+    (--output, --out), so no flag that changes the output is left out.
+    """
+    if config is None:
+        skip = {"command", "output", "out", *inputs}
+        config = {k: v for k, v in vars(args).items() if k not in skip}
     target = Path(target)
     target.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {k: config[k] for k in sorted(config)},
         "seed": seed,
-        "inputs": {name: _digest(p) for name, p in sorted(inputs.items())},
+        "inputs": {name: _digest(getattr(args, name)) for name in sorted(inputs)},
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -214,6 +224,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _manifest_path(output) -> Path:
+    return Path(output).with_suffix(Path(output).suffix + ".manifest.json")
+
+
 def _vocab_dir_paths(out_dir: Path):
     return out_dir / "src_vocab.tsv", out_dir / "tgt_vocab.tsv"
 
@@ -221,13 +235,7 @@ def _vocab_dir_paths(out_dir: Path):
 def _cmd_annotate(args) -> int:
     table = load_radical_table(args.han_table, args.kana_table)
     count = annotate_file(table, args.input, args.output)
-    write_run_manifest(
-        Path(args.output).with_suffix(Path(args.output).suffix + ".manifest.json"),
-        "annotate",
-        {},
-        0,
-        {"input": args.input, "han_table": args.han_table, "kana_table": args.kana_table},
-    )
+    write_run_manifest(_manifest_path(args.output), args, ("input", "han_table", "kana_table"))
     print(f"annotated {count} lines -> {args.output}")
     return 0
 
@@ -235,13 +243,7 @@ def _cmd_annotate(args) -> int:
 def _cmd_build_vocab(args) -> int:
     vocab = build_vocab(read_lines(args.input), min_count=args.min_count, max_size=args.max_size)
     vocab.save(args.output)
-    write_run_manifest(
-        Path(args.output).with_suffix(Path(args.output).suffix + ".manifest.json"),
-        "build-vocab",
-        {"min_count": args.min_count, "max_size": args.max_size or 0},
-        0,
-        {"input": args.input},
-    )
+    write_run_manifest(_manifest_path(args.output), args, ("input",))
     print(f"vocabulary of {len(vocab)} entries -> {args.output}")
     return 0
 
@@ -303,12 +305,9 @@ def _cmd_train(args) -> int:
     train_set = encode_corpus(train_pairs, src_vocab, tgt_vocab, table, cfg["max_src_len"])
     dev_set = encode_corpus(dev_pairs, src_vocab, tgt_vocab, table, max_chars=None)
     write_run_manifest(
-        out_dir / "run_manifest.json", "train", cfg, seed,
-        {
-            "train_src": args.train_src, "train_tgt": args.train_tgt,
-            "dev_src": args.dev_src, "dev_tgt": args.dev_tgt,
-            "han_table": args.han_table, "kana_table": args.kana_table,
-        },
+        out_dir / "run_manifest.json", args,
+        ("train_src", "train_tgt", "dev_src", "dev_tgt", "han_table", "kana_table"),
+        {**cfg, "no_features": args.no_features}, seed,
     )
     report = train(params, train_set, dev_set, tconfig)
     (out_dir / "train_report.tsv").write_text(report.to_tsv(), encoding="utf-8")
@@ -341,11 +340,7 @@ def _cmd_translate(args) -> int:
         unk_token=args.unk_token,
     )
     write_run_manifest(
-        Path(args.output).with_suffix(Path(args.output).suffix + ".manifest.json"),
-        "translate",
-        {"beam": args.beam, "length_norm": args.length_norm},
-        0,
-        {"model": args.model, "input": args.input},
+        _manifest_path(args.output), args, ("model", "input", "han_table", "kana_table")
     )
     print(f"translated {count} lines -> {args.output}")
     return 0
@@ -361,9 +356,8 @@ def _cmd_eval(args) -> int:
     )
     if args.out:
         write_run_manifest(
-            Path(args.out) / "run_manifest.json", "eval",
-            {"tokenization": args.tokenization, "beam": args.beam}, 0,
-            {"model": args.model, "src": args.src, "ref": args.ref},
+            Path(args.out) / "run_manifest.json", args,
+            ("model", "src", "ref", "han_table", "kana_table"),
         )
     print(f"ppl={result['ppl']:.4f} bleu={result['bleu']:.2f} "
           f"(bp={result['brevity_penalty']:.4f}, {result['sentences']} sentences)")

@@ -28,9 +28,10 @@ the hypotheses it gets alone: padding its source to the grid's longest
 changes only the order of the attention softmax sums, so log-probabilities
 can differ in the last bits. Output is platform-deterministic.
 
-Scores are cumulative log-probabilities; an optional length exponent
-alpha rescales completed hypotheses as logprob / len^alpha (default 0,
-i.e. off) in each sentence's final ranking.
+Each sentence gets its whole pool: the completed hypotheses (or the
+unfinished fallback), ranked by (-logprob / len^alpha, tokens). Scores
+are cumulative log-probabilities; the length exponent alpha defaults to
+0, where the division is by 1.0 and so exact, leaving the logprob order.
 
 translate_lines, and so translate_file and evaluate, decode
 length-sorted chunks of at most CHUNK_ROWS // beam_size sentences, which
@@ -48,7 +49,7 @@ import numpy as np
 from .autodiff import log_softmax
 from .corpus import BOS, EOS, PAD, Vocab, encode_pair, pad_rows
 from .errors import DataError, RadnmtError, read_lines
-from .model import ModelParams, decode_step, encode, init_decoder_state
+from .model import ModelParams, decode_step, encode
 from .radicals import RadicalTable
 
 DEFAULT_UNK_TOKEN = "〓"  # geta mark, the CJK "missing glyph" convention
@@ -60,11 +61,6 @@ class Hypothesis:
     tokens: list[int]  # emitted ids, EOS included when finished
     logprob: float
     finished: bool = False
-
-    def score(self, length_alpha: float = 0.0) -> float:
-        if length_alpha > 0.0 and self.tokens:
-            return self.logprob / (len(self.tokens) ** length_alpha)
-        return self.logprob
 
 
 def default_max_len(src_len: int) -> int:
@@ -78,16 +74,13 @@ def beam_search(
     beam_size: int = 5,
     max_len: int | None = None,
     length_alpha: float = 0.0,
-    n_best: int = 1,
 ) -> list[Hypothesis]:
-    """Best-first decode of one source sentence; returns n_best hypotheses.
+    """Decode one source sentence; returns its pool, best first.
 
-    If nothing finished by max_len the best unfinished hypothesis is
+    If nothing finished by max_len the unfinished hypotheses are
     returned with finished=False.
     """
-    (hyps,) = beam_search_many(
-        params, [(src_ids, feat_ids)], beam_size, max_len, length_alpha, n_best
-    )
+    (hyps,) = beam_search_many(params, [(src_ids, feat_ids)], beam_size, max_len, length_alpha)
     return hyps
 
 
@@ -97,9 +90,8 @@ def beam_search_many(
     beam_size: int = 5,
     max_len: int | None = None,
     length_alpha: float = 0.0,
-    n_best: int = 1,
 ) -> list[list[Hypothesis]]:
-    """Decode (src_ids, feat_ids) sources in one grid; each source's n_best hypotheses."""
+    """Decode (src_ids, feat_ids) sources in one grid; each source's ranked pool."""
     if beam_size < 1:
         raise DataError(f"beam_size must be >= 1, got {beam_size}")
     if max_len is not None and max_len < 1:
@@ -111,9 +103,7 @@ def beam_search_many(
         raise DataError("beam_search: empty source")
     src, mask = pad_rows(srcs)
     feats = None if any(f is None for _, f in sources) else pad_rows([f for _, f in sources])[0]
-    ann = encode(src, feats, mask, params)
-    h, c = (t.data for t in init_decoder_state(ann, params))
-    vectors = ann.vectors.data
+    vectors, h, c = (t.data for t in encode(src, feats, mask, params))
     limit = np.array([default_max_len(len(ids)) if max_len is None else max_len for ids in srcs])
     sent = np.arange(len(srcs))  # grid sentence -> index into sources
     tokens = np.full((len(srcs), 1), BOS, dtype=np.int64)  # the BOS column is dropped on output
@@ -158,7 +148,7 @@ def beam_search_many(
         if retire.any():
             sent, vectors, mask = sent[stay], vectors[stay], mask[stay]
     return [
-        sorted(pool, key=lambda hyp: (-hyp.score(length_alpha), tuple(hyp.tokens)))[:n_best]
+        sorted(pool, key=lambda hyp: (-hyp.logprob / len(hyp.tokens) ** length_alpha, hyp.tokens))
         for pool in completed
     ]
 
@@ -192,9 +182,9 @@ def translate_line(
     length_alpha: float = 0.0,
     unk_token: str = DEFAULT_UNK_TOKEN,
 ) -> str:
-    pair = encode_pair(line, "", src_vocab, tgt_vocab, table)
-    best = beam_search(params, pair.src_ids, pair.src_feats, beam_size, max_len, length_alpha)[0]
-    return tgt_vocab.decode(best.tokens, unk_token=unk_token)
+    return translate_lines(
+        params, table, src_vocab, tgt_vocab, [line], beam_size, max_len, length_alpha, unk_token
+    )[0]
 
 
 def translate_lines(
@@ -228,8 +218,8 @@ def translate_lines(
         except RadnmtError as exc:
             numbers = ",".join(str(i + 1) for i in sorted(chunk))
             raise type(exc)(f"{source}:{numbers}: {exc}") from exc
-        for i, (best,) in zip(chunk, hyps):
-            out[i] = tgt_vocab.decode(best.tokens, unk_token=unk_token)
+        for i, pool in zip(chunk, hyps):
+            out[i] = tgt_vocab.decode(pool[0].tokens, unk_token=unk_token)
     return out
 
 
@@ -245,15 +235,16 @@ def translate_file(
     length_alpha: float = 0.0,
     unk_token: str = DEFAULT_UNK_TOKEN,
 ) -> int:
-    """Translate every line of input_path into output_path, in order. Returns the line count."""
-    input_path, output_path = Path(input_path), Path(output_path)
+    """Translate every line of input_path into output_path, in order. Returns the line count.
+
+    output_path is opened only once every line is translated, so a failed
+    run leaves it as it was.
+    """
     lines = read_lines(input_path)
-    with output_path.open("w", encoding="utf-8") as dst:
-        dst.writelines(
-            out + "\n"
-            for out in translate_lines(
-                params, table, src_vocab, tgt_vocab, lines,
-                beam_size, max_len, length_alpha, unk_token, str(input_path),
-            )
-        )
+    outs = translate_lines(
+        params, table, src_vocab, tgt_vocab, lines,
+        beam_size, max_len, length_alpha, unk_token, str(input_path),
+    )
+    with Path(output_path).open("w", encoding="utf-8") as dst:
+        dst.writelines(out + "\n" for out in outs)
     return len(lines)

@@ -25,6 +25,7 @@ from .radicals import RadicalTable
 from .training import perplexity
 
 TOKENIZATIONS = ("char", "whitespace")
+MAX_N = 4  # BLEU-4: n-gram orders 1..MAX_N
 
 
 def tokenize(line: str, mode: str) -> list[str]:
@@ -42,7 +43,7 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
 @dataclass
 class BleuReport:
     bleu: float  # 0..100
-    precisions: tuple[float, ...]  # p1..p_max_n
+    precisions: tuple[float, ...]  # p1..p4
     brevity_penalty: float
     hyp_tokens: int
     ref_tokens: int
@@ -52,7 +53,6 @@ class BleuReport:
 def bleu(
     hypotheses: list[str],
     references: list[str],
-    max_n: int = 4,
     tokenization: str = "char",
     smoothing: bool = False,
 ) -> BleuReport:
@@ -60,21 +60,21 @@ def bleu(
         raise DataError(
             f"line count mismatch: {len(hypotheses)} hypotheses vs {len(references)} references"
         )
-    matches = [0] * max_n
-    guesses = [0] * max_n
+    matches = [0] * MAX_N
+    guesses = [0] * MAX_N
     hyp_tokens = ref_tokens = 0
     for hyp, ref in zip(hypotheses, references):
         h = tokenize(hyp, tokenization)
         r = tokenize(ref, tokenization)
         hyp_tokens += len(h)
         ref_tokens += len(r)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             got = _ngrams(h, n)
             want = _ngrams(r, n)
             guesses[n - 1] += sum(got.values())
             matches[n - 1] += sum((got & want).values())
     precisions = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         m, g = matches[n - 1], guesses[n - 1]
         if smoothing and n >= 2:
             m, g = m + 1, g + 1
@@ -86,7 +86,7 @@ def bleu(
         bp = 0.0 if hyp_tokens == 0 else min(1.0, math.exp(1.0 - ref_tokens / hyp_tokens))
     else:
         bp = min(1.0, math.exp(1.0 - ref_tokens / hyp_tokens))
-        score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+        score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / MAX_N)
     return BleuReport(score, tuple(precisions), bp, hyp_tokens, ref_tokens, tokenization)
 
 

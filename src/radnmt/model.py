@@ -8,7 +8,8 @@ Architecture:
   the model degenerates exactly to a plain character embedding.
 * Encoder: single-layer bidirectional LSTM (two ad.lstm records); the
   annotation vector at position j is the concatenation of forward and
-  backward states (2q).
+  backward states (2q). encode also returns the decoder's start state,
+  an affine+tanh map of the final backward state (h and c each).
 * Decoder: single-layer LSTM with input feeding: its input is the
   previous target character's embedding concatenated with the previous
   attentional output h~. Attention is Luong-style "general", score
@@ -136,7 +137,7 @@ class ModelParams:
         tensors = {}
         for name, shape in _param_shapes(config, feature_path).items():
             rng = derive_rng(seed, "init", name)
-            t = ad.uniform_init(shape, init_low, init_high, rng)
+            t = ad.uniform_init(shape, rng, init_low, init_high)
             t.name = name
             tensors[name] = t
         for name in ("enc_fwd_b", "enc_bwd_b", "dec_b"):
@@ -166,16 +167,6 @@ class ModelParams:
         return out
 
 
-@dataclass
-class Annotations:
-    """Encoder output: per-position vectors (B, L, 2q) plus carry-over."""
-
-    vectors: Tensor
-    mask: np.ndarray  # (B, L) bool
-    final_bwd_h: Tensor  # (B, q), backward state after reading position 0
-    final_bwd_c: Tensor
-
-
 def embed_with_features(char_ids: np.ndarray, feat_ids: np.ndarray | None, char_emb: Tensor, feat_emb: Tensor | None) -> Tensor:
     """Per-position concat of character and feature embeddings.
 
@@ -199,8 +190,13 @@ def encode(
     params: ModelParams,
     drop_p: float = 0.0,
     rng=None,
-) -> Annotations:
-    """Bidirectional encoding; masked positions carry state unchanged."""
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Bidirectional encoding; returns (annotations (B, L, 2q), h0, c0).
+
+    Masked positions carry state unchanged. The decoder's start state
+    h0, c0 (B, q) is an affine+tanh map of the backward state after
+    reading position 0.
+    """
     if src.ndim != 2 or src.shape[1] == 0:
         raise DataError(f"encode needs a (B, L>=1) id grid, got {src.shape}")
     batch, q = src.shape[0], params.config.hidden_size
@@ -221,14 +217,10 @@ def encode(
         )
         for d in ("fwd", "bwd")
     )
-    return Annotations(ad.concat([fwd, bwd], axis=2), src_mask, bwd_h, bwd_c)
-
-
-def init_decoder_state(ann: Annotations, params: ModelParams) -> tuple[Tensor, Tensor]:
-    """Decoder start state: affine+tanh of the final backward encoder state."""
-    h = ad.tanh(ad.add(ad.matmul(ann.final_bwd_h, params["dec_init_h_W"]), params["dec_init_h_b"]))
-    c = ad.tanh(ad.add(ad.matmul(ann.final_bwd_c, params["dec_init_c_W"]), params["dec_init_c_b"]))
-    return h, c
+    annotations = ad.concat([fwd, bwd], axis=2)
+    h0 = ad.tanh(ad.add(ad.matmul(bwd_h, params["dec_init_h_W"]), params["dec_init_h_b"]))
+    c0 = ad.tanh(ad.add(ad.matmul(bwd_c, params["dec_init_c_W"]), params["dec_init_c_b"]))
+    return annotations, h0, c0
 
 
 def output_logits(h_tilde: Tensor, params: ModelParams) -> Tensor:
@@ -271,8 +263,7 @@ def forward_loss(
     Returns (total NLL, token count).
     """
     drop_p = (params.config.dropout if dropout is None else dropout) if train else 0.0
-    ann = encode(batch.src, batch.feats, batch.src_mask, params, drop_p, rng)
-    h0, c0 = init_decoder_state(ann, params)
+    ann, h0, c0 = encode(batch.src, batch.feats, batch.src_mask, params, drop_p, rng)
     # time-major rows: row t*B + b is the input of step t of sentence b
     emb = ad.embedding_lookup(params["tgt_char_emb"], batch.tgt[:, :-1].T.reshape(-1))
     feed_keep = None
@@ -284,7 +275,7 @@ def forward_loss(
         emb = ad.dropout_apply(emb, np.concatenate(draws[::2]))
         feed_keep = np.stack(draws[1::2])
     weights = (params[name] for name in _DECODER_WEIGHTS)
-    h_tildes = ad.decoder(emb, h0, c0, ann.vectors, ann.mask, *weights, feed_keep=feed_keep)
+    h_tildes = ad.decoder(emb, h0, c0, ann, batch.src_mask, *weights, feed_keep=feed_keep)
     logits = output_logits(h_tildes, params)
     # row t*B + b of logits predicts tgt[b, t + 1]
     total = ad.masked_nll(logits, batch.tgt[:, 1:].T.reshape(-1), batch.tgt_mask[:, 1:].T.reshape(-1))

@@ -10,7 +10,7 @@ import pytest
 import radnmt
 from radnmt.autodiff import log_softmax
 from radnmt.corpus import BOS, EOS, PAD, Batch
-from radnmt.model import decode_step, encode, init_decoder_state
+from radnmt.model import decode_step, encode
 from radnmt.seeding import derive_rng
 
 
@@ -74,12 +74,12 @@ def tiny_batch(seed: int, batch: int = 2, src_len: int = 3, tgt_chars: int = 2,
 def replay_score(params, src, feats, tokens) -> float:
     """Sum of per-step log-softmax picks for a fixed token sequence."""
     mask = np.ones((1, len(src)), dtype=bool)
-    ann = encode(src[None, :], None if feats is None else feats[None, :], mask, params)
-    state = tuple(t.data for t in init_decoder_state(ann, params))
+    batch_feats = None if feats is None else feats[None, :]
+    vectors, *state = (t.data for t in encode(src[None, :], batch_feats, mask, params))
     ht = np.zeros((1, params.config.hidden_size))
     prev, total = BOS, 0.0
     for tok in tokens:
-        logits, state, ht = decode_step(np.array([prev]), ht, state, ann.vectors.data, mask, params)
+        logits, state, ht = decode_step(np.array([prev]), ht, state, vectors, mask, params)
         total += float(log_softmax(logits)[0][tok])
         prev = tok
     return total
@@ -107,12 +107,12 @@ def brute_force_best(params, src, feats, max_len: int):
 def greedy_decode(params, src, feats, max_len: int):
     """Step-wise argmax decoder (lowest id wins ties); stops at EOS."""
     mask = np.ones((1, len(src)), dtype=bool)
-    ann = encode(src[None, :], None if feats is None else feats[None, :], mask, params)
-    state = tuple(t.data for t in init_decoder_state(ann, params))
+    batch_feats = None if feats is None else feats[None, :]
+    vectors, *state = (t.data for t in encode(src[None, :], batch_feats, mask, params))
     ht = np.zeros((1, params.config.hidden_size))
     prev, tokens, total = BOS, [], 0.0
     for _ in range(max_len):
-        logits, state, ht = decode_step(np.array([prev]), ht, state, ann.vectors.data, mask, params)
+        logits, state, ht = decode_step(np.array([prev]), ht, state, vectors, mask, params)
         lp = log_softmax(logits)[0]
         lp[PAD] = lp[BOS] = -np.inf
         best = lp.max()

@@ -237,6 +237,52 @@ def test_eval_cli(trained_dir, tmp_path, capsys):
     assert (out / "metrics.tsv").exists()
 
 
+def _run_twice(command, flag, model, tmp_path) -> list[dict]:
+    """The manifests, timestamp aside, of command run without and with flag."""
+    src, tgt = radnmt.toy_corpus_paths()
+    manifests = []
+    for extra in ([], flag):
+        out = tmp_path / f"run{len(manifests)}"
+        argv, manifest = {
+            "train": (
+                ["--train-src", str(src), "--train-tgt", str(tgt), "--dev-src", str(src),
+                 "--dev-tgt", str(tgt), "--out", str(out), "--hidden", "8", "--char-embed", "6",
+                 "--feat-embed", "2", "--epochs", "1", "--dropout", "0.0", "--seed", "1"],
+                out / "run_manifest.json",
+            ),
+            "translate": (
+                ["--model", str(model), "--input", str(src), "--output", str(out)],
+                out.with_suffix(".manifest.json"),
+            ),
+            "eval": (
+                ["--model", str(model), "--src", str(src), "--ref", str(tgt), "--beam", "1",
+                 "--out", str(out)],
+                out / "run_manifest.json",
+            ),
+        }[command]
+        assert dispatch([command] + argv + extra) == 0
+        manifests.append(json.loads(manifest.read_text(encoding="utf-8")))
+        del manifests[-1]["timestamp"]
+    return manifests
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("train", ["--no-features"]),
+        ("translate", ["--max-len", "2"]),
+        ("translate", ["--unk-token", "?"]),
+        ("eval", ["--smoothing"]),
+    ],
+    ids=["train-no-features", "translate-max-len", "translate-unk-token", "eval-smoothing"],
+)
+def test_manifest_records_every_output_setting(command, flag, trained_dir, tmp_path):
+    # identical manifests promise identical outputs, so each of these flags must show
+    model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
+    without, with_flag = _run_twice(command, flag, model, tmp_path)
+    assert without != with_flag
+
+
 def test_gradcheck_cli(capsys):
     assert dispatch(["gradcheck", "--seed", "7"]) == 0
     out = capsys.readouterr().out

@@ -9,11 +9,11 @@ import radnmt
 from radnmt import decoding
 from radnmt.corpus import BOS, EOS, PAD, encode_pair
 from radnmt.decoding import (
-    Hypothesis,
     beam_search,
     beam_search_many,
     translate_file,
     translate_line,
+    translate_lines,
 )
 from radnmt.errors import DataError, NumericError
 from radnmt.model import ModelParams
@@ -81,12 +81,11 @@ def test_finished_iff_ends_with_eos():
     for seed in range(10):
         params = _rand_model(seed)
         src, feats = _rand_input(seed)
-        for hyp in beam_search(params, src, feats, beam_size=4, max_len=5, n_best=4):
+        for hyp in beam_search(params, src, feats, beam_size=4, max_len=5):
             assert hyp.finished == (hyp.tokens[-1] == EOS)
 
 
 def test_logprob_non_increasing_with_length():
-    assert Hypothesis([4], -0.5).score() == -0.5
     params = _rand_model(1)
     src, feats = _rand_input(1)
     best = beam_search(params, src, feats, beam_size=3, max_len=5)[0]
@@ -163,10 +162,10 @@ def test_unfinished_fallback_is_flagged():
     assert best.tokens and best.tokens[-1] != EOS
 
 
-def test_n_best_is_sorted_and_distinct():
+def test_pool_is_sorted_and_distinct():
     params = _rand_model(2)
     src, feats = _rand_input(2)
-    hyps = beam_search(params, src, feats, beam_size=5, max_len=4, n_best=5)
+    hyps = beam_search(params, src, feats, beam_size=5, max_len=4)
     scores = [h.logprob for h in hyps]
     assert scores == sorted(scores, reverse=True)
     assert len({tuple(h.tokens) for h in hyps}) == len(hyps)
@@ -197,10 +196,10 @@ def test_many_sentences_decode_as_one_at_a_time(seed, shape, beam, max_len, sour
         (np.array([4 + ch % chars for ch, _ in src] + [EOS]), np.array([f for _, f in src] + [0]))
         for src in sources
     ]
-    together = beam_search_many(params, arrays, beam, max_len, n_best=beam)
+    together = beam_search_many(params, arrays, beam, max_len)
     assert len(together) == len(arrays)
     for hyps, (src, feats) in zip(together, arrays):
-        alone = beam_search(params, src, feats, beam, max_len, n_best=beam)
+        alone = beam_search(params, src, feats, beam, max_len)
         assert [(h.tokens, h.finished) for h in hyps] == [(h.tokens, h.finished) for h in alone]
         for got, want in zip(hyps, alone):
             assert got.logprob == pytest.approx(want.logprob, rel=1e-12, abs=0.0)
@@ -250,7 +249,8 @@ def test_translate_file_equals_per_line_beam_search(beam, epochs, toy_models, ta
 @pytest.mark.parametrize("beam, named", [(5, "1,2,3"), (40, "2")])
 def test_translate_file_error_keeps_class_and_names_lines(beam, named, toy_models, table,
                                                            toy_data, tmp_path, monkeypatch):
-    # beam 5 decodes the three lines as one chunk; beam 40 one line a chunk, shortest first
+    # beam 5 decodes the three lines as one chunk; beam 40 one line a chunk, shortest first.
+    # The failed run leaves the output file as it was.
     sv, tv, _ = toy_data
 
     def failing_step(*args):
@@ -259,8 +259,27 @@ def test_translate_file_error_keeps_class_and_names_lines(beam, named, toy_model
     monkeypatch.setattr(decoding, "decode_step", failing_step)
     src = tmp_path / "in.txt"
     src.write_text("鉄の実験。\n水\n金属を測定した。\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    out.write_text("previous contents\n", encoding="utf-8")
     with pytest.raises(NumericError, match=rf"in\.txt:{named}: decoder produced non-finite"):
-        translate_file(toy_models[3], table, sv, tv, src, tmp_path / "out.txt", beam_size=beam)
+        translate_file(toy_models[3], table, sv, tv, src, out, beam_size=beam)
+    assert out.read_text(encoding="utf-8") == "previous contents\n"
+
+
+def test_length_normalization_ranks_pools(toy_models, table, toy_data, toy_pairs):
+    # after 40 epochs alpha = 1 prefers a longer translation of this line than alpha = 0
+    sv, tv, _ = toy_data
+    params, line = toy_models[40], toy_pairs[3][0]
+    pair = encode_pair(line, "", sv, tv, table)
+    best = {}
+    for alpha in (0.0, 1.0):
+        pool = beam_search(params, pair.src_ids, pair.src_feats, 5, length_alpha=alpha)
+        keys = [(-h.logprob / len(h.tokens) ** alpha, h.tokens) for h in pool]
+        assert len(pool) > 1 and keys == sorted(keys)
+        best[alpha] = tv.decode(pool[0].tokens, unk_token=decoding.DEFAULT_UNK_TOKEN)
+        (translated,) = translate_lines(params, table, sv, tv, [line], 5, length_alpha=alpha)
+        assert translated == best[alpha]
+    assert len(best[1.0]) > len(best[0.0])
 
 
 def test_translate_file_order_and_determinism(table, toy_data, tmp_path):

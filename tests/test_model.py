@@ -15,7 +15,6 @@ from radnmt.model import (
     embed_with_features,
     encode,
     forward_loss,
-    init_decoder_state,
     load_checkpoint,
     save_checkpoint,
 )
@@ -141,9 +140,14 @@ def test_encode_single_position_annotation_is_concat():
     params = ModelParams.initialize(tiny_config(), seed=1)
     src = np.array([[5]])
     feats = np.array([[3]])
-    ann = encode(src, feats, np.ones((1, 1), dtype=bool), params)
-    assert ann.vectors.shape == (1, 1, 8)  # 2q
-    np.testing.assert_array_equal(ann.vectors.data[0, 0, 4:], ann.final_bwd_h.data[0])
+    ann, h0, c0 = encode(src, feats, np.ones((1, 1), dtype=bool), params)
+    assert ann.shape == (1, 1, 8)  # 2q
+    assert h0.shape == c0.shape == (1, 4)
+    # h0 is the affine+tanh map of the backward state after reading position 0
+    bwd_h = ann.data[:, 0, 4:]
+    np.testing.assert_array_equal(
+        h0.data, np.tanh(bwd_h @ params["dec_init_h_W"].data + params["dec_init_h_b"].data)
+    )
 
 
 def test_encode_padding_invariance():
@@ -156,10 +160,9 @@ def test_encode_padding_invariance():
     padded_feats = np.concatenate([feats, np.zeros((1, 3), dtype=np.int64)], axis=1)
     mask = np.array([[True] * 4 + [False] * 3])
     padded = encode(padded_src, padded_feats, mask, params)
-    np.testing.assert_allclose(
-        padded.vectors.data[:, :4, :], plain.vectors.data, atol=1e-12
-    )
-    np.testing.assert_allclose(padded.final_bwd_h.data, plain.final_bwd_h.data, atol=1e-12)
+    np.testing.assert_allclose(padded[0].data[:, :4, :], plain[0].data, atol=1e-12)
+    for got, want in zip(padded[1:], plain[1:]):  # the decoder start state h0, c0
+        np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
 
 def attention(params, vectors, mask, seed):
@@ -211,11 +214,10 @@ def test_attention_all_masked_row_raises():
 def test_decode_step_shapes_and_determinism():
     params = ModelParams.initialize(tiny_config(), seed=7)
     batch = tiny_batch(0)
-    ann = encode(batch.src, batch.feats, batch.src_mask, params)
-    state = tuple(t.data for t in init_decoder_state(ann, params))
+    vectors, *state = (t.data for t in encode(batch.src, batch.feats, batch.src_mask, params))
     ht = np.zeros((2, 4))
-    out1 = decode_step(batch.tgt[:, 0], ht, state, ann.vectors.data, ann.mask, params)
-    out2 = decode_step(batch.tgt[:, 0], ht, state, ann.vectors.data, ann.mask, params)
+    out1 = decode_step(batch.tgt[:, 0], ht, state, vectors, batch.src_mask, params)
+    out2 = decode_step(batch.tgt[:, 0], ht, state, vectors, batch.src_mask, params)
     assert out1[0].shape == (2, 8)  # tgt vocab logits
     np.testing.assert_array_equal(out1[0], out2[0])
 
@@ -223,11 +225,10 @@ def test_decode_step_shapes_and_determinism():
 def test_input_feeding_changes_logits():
     params = ModelParams.initialize(tiny_config(), seed=8)
     batch = tiny_batch(1)
-    ann = encode(batch.src, batch.feats, batch.src_mask, params)
-    state = tuple(t.data for t in init_decoder_state(ann, params))
+    vectors, *state = (t.data for t in encode(batch.src, batch.feats, batch.src_mask, params))
     rng = derive_rng(10, "feed")
     fed = rng.normal(size=(2, 4))
-    vectors, mask = ann.vectors.data, ann.mask
+    mask = batch.src_mask
     without = decode_step(batch.tgt[:, 0], np.zeros((2, 4)), state, vectors, mask, params)[0]
     with_feed = decode_step(batch.tgt[:, 0], fed, state, vectors, mask, params)[0]
     assert params["dec_Wx"].data[4:, :].any()  # the h~ slice is nonzero
