@@ -20,16 +20,22 @@ print("=== a small recorded computation ===")
 W = Tensor(rng.normal(size=(3, 3)), requires_grad=True, name="W")
 x = Tensor(rng.normal(size=(3, 1)))
 ones = Tensor(np.ones((1, 3)))
+
+def squared_sum():
+    """sum((W x)^2) as a (1, 1) tensor, from the engine's matmul and mul ops."""
+    y = ad.matmul(W, x)
+    return ad.matmul(ones, ad.mul(y, y))
+
+
 with Tape() as tape:
-    y = ad.tanh(ad.matmul(W, x))
-    loss = ad.matmul(ones, y)  # scalar: sum of tanh(Wx)
+    loss = squared_sum()
 print(f"  loss = {loss.item():+.6f}, tape recorded {len(tape)} ops")
 ad.backward(loss, tape)
 print(f"  dloss/dW has shape {W.grad.shape}, largest entry {np.abs(W.grad).max():.4f}")
 
 print()
 print("=== the same gradient, verified by central differences ===")
-err = ad.grad_check(lambda: ad.matmul(ones, ad.tanh(ad.matmul(W, x))), [W])
+err = ad.grad_check(squared_sum, [W])
 print(f"  max relative error vs finite differences: {err:.2e}")
 
 print()

@@ -40,7 +40,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     decode_step,
-    embed_with_features,
     encode,
     forward_loss,
     load_checkpoint,

@@ -9,11 +9,11 @@ dropped. Ops executed with no active tape run forward-only. Dropout
 masks come pre-scaled: 1 / (1 - p) on kept lanes, 0 on dropped ones.
 
 Everything is float64. Every op checks its output for NaN/Inf and
-raises NumericError rather than letting poison propagate. lstm and the
-attentional decoder each run a whole recurrence as one record with a
-hand-derived BPTT VJP, on one shared LSTM cell; decoder's step is the
-plain-numpy decoder_step, which beam search runs one step at a time
-over the hypotheses of many sentences.
+raises NumericError rather than letting poison propagate. The
+bidirectional encoder and the attentional decoder each run whole
+recurrences as one record with a hand-derived BPTT VJP, on one shared
+LSTM cell; decoder's step is the plain-numpy decoder_step, which beam
+search runs one step at a time over the hypotheses of many sentences.
 """
 
 from __future__ import annotations
@@ -181,15 +181,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", out, (a, b), vjp)
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def vjp(g):
-        return ((1.0 - out * out) * g,)
-
-    return _emit("tanh", out, (x,), vjp)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-log(1 + e^-z)) is overflow-free on both tails
     return np.exp(-np.logaddexp(0.0, -z))
@@ -203,7 +194,7 @@ def _cell(gates: np.ndarray, c: np.ndarray, op: str):
     _finite_or_raise(gates, op)
     q = c.shape[1]
     acts = np.concatenate([_sigmoid(gates[:, : 3 * q]), np.tanh(gates[:, 3 * q :])], axis=1)
-    i, f, o, g = np.split(acts, 4, axis=1)
+    i, f, o, g = acts[:, :q], acts[:, q : 2 * q], acts[:, 2 * q : 3 * q], acts[:, 3 * q :]
     c = f * c + i * g
     tanh_c = np.tanh(c)
     return acts, c, tanh_c, o * tanh_c
@@ -215,7 +206,7 @@ def _cell_vjp(dh, dc, acts, c_prev, tanh_c, dgates) -> np.ndarray:
     Writes the gates' gradient into dgates; returns the one reaching c_prev.
     """
     q = dh.shape[1]
-    i, f, o, g = np.split(acts, 4, axis=1)
+    i, f, o, g = acts[:, :q], acts[:, q : 2 * q], acts[:, 2 * q : 3 * q], acts[:, 3 * q :]
     dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
     dgates[:, :q] = dc * g * i * (1.0 - i)
     dgates[:, q : 2 * q] = dc * c_prev * f * (1.0 - f)
@@ -224,62 +215,100 @@ def _cell_vjp(dh, dc, acts, c_prev, tanh_c, dgates) -> np.ndarray:
     return dc * f
 
 
-def lstm(xw: Tensor, Wh: Tensor, h0: Tensor, c0: Tensor, mask=None, reverse: bool = False):
-    """A whole LSTM recurrence as one op; returns (H (B,L,q), h_T, c_T).
+def _recurrence(x, Wx, Wh, b, keep: np.ndarray, reverse: bool):
+    """An LSTM over x (L*B, p) from a zero state; returns (H (L, B, q), h_T, c_T, bptt).
 
-    xw is the input projection plus bias of every step, time-major: row
-    t*B + b is step t of batch row b, gate layout [i | f | o | g] along
-    its 4q columns. Step t computes gates = xw_t + h @ Wh; where the
-    (B, L) mask is False, h and c carry through unchanged. reverse runs
-    t = L-1 .. 0. H[:, t] is the state after step t. A non-finite gate
-    pre-activation raises NumericError. The VJP is backpropagation
-    through time, with dWh as one H_prev^T @ dGates product.
+    Step t computes gates [i | f | o | g] = x_t @ Wx + b + h @ Wh; where
+    keep[t] (B, 1) is False, h and c carry through unchanged. reverse runs
+    t = L-1 .. 0; H[t] is the state after step t. bptt(dH, dh, dc) takes the
+    gradients reaching H (B, L, q), h_T and c_T and yields dx, dWx, dWh and
+    db, each weight's as one product over all rows, as the caller takes them.
     """
-    batch, q = h0.shape
-    length = xw.shape[0] // batch
-    if Wh.shape != (q, 4 * q) or c0.shape != h0.shape or xw.shape != (length * batch, 4 * q) or not length:
-        raise ShapeError(f"lstm: xw {xw.shape}, Wh {Wh.shape}, h0 {h0.shape}, c0 {c0.shape}")
-    keep = np.ones((length, batch, 1), bool) if mask is None else np.asarray(mask, bool).T[:, :, None]
-    if keep.shape != (length, batch, 1):
-        raise ShapeError(f"lstm: mask shape {np.shape(mask)} != {(batch, length)}")
+    length, batch, _ = keep.shape
+    xw = (x @ Wx + b).reshape(length, batch, -1)
     order = range(length - 1, -1, -1) if reverse else range(length)
-    xw3 = xw.data.reshape(length, batch, 4 * q)
-    acts = np.empty((length, batch, 4 * q))  # sigmoid(i, f, o), tanh(g)
-    h_prev, c_prev, tanh_c, H = (np.empty((length, batch, q)) for _ in range(4))
-    h, c = h0.data, c0.data
+    acts = np.empty_like(xw)  # sigmoid(i, f, o), tanh(g)
+    h_prev, c_prev, tanh_c, H = (np.empty((length, batch, Wh.shape[0])) for _ in range(4))
+    h = c = np.zeros((batch, Wh.shape[0]))
     for t in order:
         h_prev[t], c_prev[t] = h, c
-        acts[t], c_new, tanh_c[t], h_new = _cell(xw3[t] + h @ Wh.data, c, "lstm")
+        acts[t], c_new, tanh_c[t], h_new = _cell(xw[t] + h @ Wh, c, "encoder")
         H[t] = h = np.where(keep[t], h_new, h)
         c = np.where(keep[t], c_new, c)
 
-    def vjp(dH, dh, dc):
+    def bptt(dH, dh, dc):
         dgates = np.empty_like(acts)
         for t in reversed(order):
             m = keep[t]
             dh = dh + dH[:, t]
             dc = _cell_vjp(dh * m, dc * m, acts[t], c_prev[t], tanh_c[t], dgates[t]) + dc * ~m
-            dh = dgates[t] @ Wh.data.T + dh * ~m
-        flat = dgates.reshape(length * batch, 4 * q)
-        return flat, h_prev.reshape(length * batch, q).T @ flat, dh, dc
+            dh = dgates[t] @ Wh.T + dh * ~m
+        flat = dgates.reshape(length * batch, -1)
+        yield flat @ Wx.T
+        yield x.T @ flat
+        yield h_prev.reshape(length * batch, -1).T @ flat
+        yield flat.sum(axis=0)
 
-    return _emit("lstm", (H.transpose(1, 0, 2), h, c), (xw, Wh, h0, c0), vjp)
+    return H, h, c, bptt
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat of no tensors")
-    parts = [t.data for t in tensors]
-    try:
-        out = np.concatenate(parts, axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat axis={axis}: {[t.shape for t in tensors]}") from exc
-    cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
+def encoder(
+    tables: Sequence[Tensor], ids: Sequence[np.ndarray], mask: np.ndarray, keep: np.ndarray | None,
+    fwd_Wx: Tensor, fwd_Wh: Tensor, fwd_b: Tensor, bwd_Wx: Tensor, bwd_Wh: Tensor, bwd_b: Tensor,
+    init_h_W: Tensor, init_h_b: Tensor, init_c_W: Tensor, init_c_b: Tensor,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """The bidirectional LSTM encoder as one op; returns (annotations (B, L, 2q), h0, c0).
 
-    def vjp(g):
-        return np.split(g, cuts, axis=axis)
+    Input row j*B + b, position j of sentence b, is the rows of the tables
+    at their ids (L*B,) side by side, times keep (make_dropout_mask's
+    (L*B, p) mask) if given. Each direction runs _recurrence over it and
+    the (B, L) mask; annotation j is the [forward; backward] state after
+    position j. The decoder's start state is h0 = tanh(h @ init_h_W +
+    init_h_b), and c0 likewise from c, of the backward state after position 0.
+    """
+    weights = (fwd_Wx, fwd_Wh, fwd_b, bwd_Wx, bwd_Wh, bwd_b, init_h_W, init_h_b, init_c_W, init_c_b)
+    batch, length = np.shape(mask) if np.ndim(mask) == 2 else (0, 0)
+    widths = [t.shape[-1] for t in tables]
+    p, q = sum(widths), fwd_Wh.shape[0]
+    expected = [(p, 4 * q), (q, 4 * q), (4 * q,)] * 2 + [(q, q), (q,)] * 2
+    if (not length or len(ids) != len(tables) or {t.data.ndim for t in tables} != {2}
+            or {np.shape(i) for i in ids} != {(length * batch,)} or [w.shape for w in weights] != expected
+            or keep is not None and np.shape(keep) != (length * batch, p)):
+        raise ShapeError(f"encoder: tables {[t.shape for t in tables]}, ids {[np.shape(i) for i in ids]}, "
+                         f"mask {np.shape(mask)}, keep {np.shape(keep)}, weights {[w.shape for w in weights]}")
+    x = np.concatenate([_gather(t, i, "encoder") for t, i in zip(tables, ids)], axis=1)
+    x = x if keep is None else x * keep
+    steps = np.asarray(mask, bool).T[:, :, None]
+    (H_f, _, _, fwd), (H_b, h, c, bwd) = (
+        _recurrence(x, *(w.data for w in weights[k : k + 3]), steps, reverse=k == 3) for k in (0, 3)
+    )
+    h0, c0 = np.tanh(h @ init_h_W.data + init_h_b.data), np.tanh(c @ init_c_W.data + init_c_b.data)
 
-    return _emit("concat", out, tuple(tensors), vjp)
+    def vjp(dann, dh0, dc0):
+        # a generator, so backward stores each gradient before the next is made
+        dh0, dc0 = (1.0 - h0 * h0) * dh0, (1.0 - c0 * c0) * dc0
+        dbwd = bwd(dann[:, :, q:], dh0 @ init_h_W.data.T, dc0 @ init_c_W.data.T)
+        dfwd = fwd(dann[:, :, :q], np.zeros((batch, q)), np.zeros((batch, q)))
+        dx = next(dbwd) + next(dfwd)
+        dx = dx if keep is None else dx * keep
+        for table, rows, part in zip(tables, ids, np.split(dx, np.cumsum(widths[:-1]), axis=1)):
+            grad = np.zeros_like(table.data)
+            np.add.at(grad, rows, part)
+            yield grad
+        yield from dfwd
+        yield from dbwd
+        yield from (h.T @ dh0, dh0.sum(axis=0), c.T @ dc0, dc0.sum(axis=0))
+
+    annotations = np.concatenate([H_f.transpose(1, 0, 2), H_b.transpose(1, 0, 2)], axis=2)
+    return _emit("encoder", (annotations, h0, c0), (*tables, *weights), vjp)
+
+
+def _gather(table: Tensor, ids: np.ndarray, op: str) -> np.ndarray:
+    """Rows of table (V, d) at integer ids (n,); an id outside it raises ShapeError."""
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        bad = int(np.argmax((ids < 0) | (ids >= table.shape[0])))
+        raise ShapeError(f"{op}: id {int(ids[bad])} at position {bad} outside table of {table.shape[0]} rows")
+    return table.data[ids]
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -287,13 +316,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if table.data.ndim != 2 or ids.ndim != 1:
         raise ShapeError(f"embedding_lookup: table {table.shape}, ids {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        bad = int(np.argmax((ids < 0) | (ids >= table.shape[0])))
-        raise ShapeError(
-            f"embedding_lookup: id {int(ids[bad])} at position {bad} "
-            f"outside table of {table.shape[0]} rows"
-        )
-    out = table.data[ids]
+    out = _gather(table, ids, "embedding_lookup")
 
     def vjp(g):
         grad = np.zeros_like(table.data)

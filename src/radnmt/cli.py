@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .corpus import Vocab, build_vocab, encode_corpus, read_parallel
+from .corpus import Batch, Vocab, build_vocab, encode_corpus, read_parallel
 from .errors import DataError, NumericError, RadnmtError, UsageError, read_lines
 from .evaluation import TOKENIZATIONS, evaluate
-from .decoding import translate_file
+from .decoding import DEFAULT_UNK_TOKEN, translate_file
 from .model import ModelConfig, ModelParams, forward_loss, load_checkpoint
 from .radicals import annotate_file, bundled_table_paths, load_radical_table
 from .seeding import derive_rng
@@ -206,7 +206,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--beam", type=positive_int, default=5)
     p.add_argument("--max-len", type=positive_int, default=None)
     p.add_argument("--length-norm", type=non_negative_float, default=0.0)
-    p.add_argument("--unk-token", default="〓")
+    p.add_argument("--unk-token", default=DEFAULT_UNK_TOKEN)
 
     p = sub.add_parser("eval", help="perplexity + BLEU against references")
     add_tables(p)
@@ -264,8 +264,6 @@ def _cmd_train(args) -> int:
     seed = _resolve_seed(args, cfg)
     if cfg["max_src_len"] < 1:
         raise UsageError(f"max_src_len must be >= 1, got {cfg['max_src_len']}")
-    if cfg["max_size"] < 0:
-        raise UsageError(f"max_size must be >= 0 (0 = unlimited), got {cfg['max_size']}")
     out_dir = Path(args.out)
     tconfig = TrainConfig(
         lr=cfg["lr"],
@@ -284,7 +282,7 @@ def _cmd_train(args) -> int:
     dev_pairs = read_parallel(args.dev_src, args.dev_tgt)
     src_vocab, tgt_vocab = (
         build_vocab([pair[side] for pair in train_pairs], min_count=cfg["min_count"],
-                    max_size=cfg["max_size"] or None)
+                    max_size=cfg["max_size"])
         for side in (0, 1)
     )
     feat_dim = 0 if args.no_features else cfg["feat_embed"]
@@ -372,8 +370,6 @@ def _cmd_gradcheck(args) -> int:
     )
     params = ModelParams.initialize(config, seed)
     rng = derive_rng(seed, "gradcheck-data")
-    from .corpus import Batch
-
     src = rng.integers(4, 8, size=(1, 3))
     feats = rng.integers(1, 8, size=(1, 3))
     tgt = np.array([[1, int(rng.integers(4, 8)), 2]], dtype=np.int64)

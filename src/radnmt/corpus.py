@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_lines, read_utf8
+from .errors import DataError, UsageError, read_lines, read_utf8
 from .radicals import N_RADICALS, RadicalTable
 from .seeding import derive_rng
 
@@ -94,7 +94,12 @@ class Vocab:
 
 
 def build_vocab(sentences, min_count: int = 1, max_size: int | None = None) -> Vocab:
-    """Admit characters by (frequency desc, codepoint asc), most frequent first."""
+    """Admit characters by (frequency desc, codepoint asc), most frequent first.
+
+    max_size counts the 4 reserved entries; None or 0 means unlimited.
+    """
+    if max_size and max_size <= N_RESERVED:
+        raise UsageError(f"max_size must be 0 (unlimited) or at least {N_RESERVED + 1}, got {max_size}")
     if not sentences:
         raise DataError("build_vocab needs at least one sentence")
     counts: dict[str, int] = {}
@@ -105,8 +110,8 @@ def build_vocab(sentences, min_count: int = 1, max_size: int | None = None) -> V
         (ch for ch, n in counts.items() if n >= min_count),
         key=lambda ch: (-counts[ch], ord(ch)),
     )
-    if max_size is not None:
-        admitted = admitted[: max(0, max_size - N_RESERVED)]
+    if max_size:
+        admitted = admitted[: max_size - N_RESERVED]
     return Vocab(admitted)
 
 

@@ -6,10 +6,11 @@ Architecture:
   concatenated with a separately trained radical embedding (p2 dims);
   the concatenated length p1+p2 is the total embedding size. With p2=0
   the model degenerates exactly to a plain character embedding.
-* Encoder: single-layer bidirectional LSTM (two ad.lstm records); the
-  annotation vector at position j is the concatenation of forward and
-  backward states (2q). encode also returns the decoder's start state,
-  an affine+tanh map of the final backward state (h and c each).
+* Encoder: single-layer bidirectional LSTM; the annotation vector at
+  position j is the concatenation of forward and backward states (2q).
+  encode also returns the decoder's start state, an affine+tanh map of
+  the final backward state (h and c each). Embedding lookup, both
+  recurrences and the start-state maps are one ad.encoder record.
 * Decoder: single-layer LSTM with input feeding: its input is the
   previous target character's embedding concatenated with the previous
   attentional output h~. Attention is Luong-style "general", score
@@ -41,7 +42,9 @@ from .seeding import derive_rng
 CHECKPOINT_MAGIC = b"RNMT"
 CHECKPOINT_VERSION = 1
 
-# the decoder weights, in the order ad.decoder and ad.decoder_step take them
+# the encoder and decoder weights, in the order ad.encoder and ad.decoder(_step) take them
+_ENCODER_WEIGHTS = ("enc_fwd_Wx", "enc_fwd_Wh", "enc_fwd_b", "enc_bwd_Wx", "enc_bwd_Wh", "enc_bwd_b",
+                    "dec_init_h_W", "dec_init_h_b", "dec_init_c_W", "dec_init_c_b")
 _DECODER_WEIGHTS = ("dec_Wx", "dec_Wh", "dec_b", "attn_W", "attn_out_W")
 
 
@@ -167,22 +170,6 @@ class ModelParams:
         return out
 
 
-def embed_with_features(char_ids: np.ndarray, feat_ids: np.ndarray | None, char_emb: Tensor, feat_emb: Tensor | None) -> Tensor:
-    """Per-position concat of character and feature embeddings.
-
-    With feat_emb None (the no-feature baseline) this is a plain
-    embedding lookup; with a zero-width feat_emb the concatenation is a
-    bitwise no-op, so both routes coincide exactly.
-    """
-    chars = ad.embedding_lookup(char_emb, char_ids)
-    if feat_emb is None:
-        return chars
-    if feat_ids is None:
-        raise DataError("feature ids required when the feature path is enabled")
-    feats = ad.embedding_lookup(feat_emb, feat_ids)
-    return ad.concat([chars, feats], axis=1)
-
-
 def encode(
     src: np.ndarray,
     feats: np.ndarray | None,
@@ -191,7 +178,7 @@ def encode(
     drop_p: float = 0.0,
     rng=None,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Bidirectional encoding; returns (annotations (B, L, 2q), h0, c0).
+    """Bidirectional encoding as one ad.encoder op; returns (annotations (B, L, 2q), h0, c0).
 
     Masked positions carry state unchanged. The decoder's start state
     h0, c0 (B, q) is an affine+tanh map of the backward state after
@@ -199,28 +186,16 @@ def encode(
     """
     if src.ndim != 2 or src.shape[1] == 0:
         raise DataError(f"encode needs a (B, L>=1) id grid, got {src.shape}")
-    batch, q = src.shape[0], params.config.hidden_size
     # time-major rows: row j*B + b is position j of sentence b
-    x = embed_with_features(
-        src.T.reshape(-1),
-        None if feats is None else feats.T.reshape(-1),
-        params["src_char_emb"],
-        params["src_feat_emb"] if params.feature_path else None,
-    )
-    if drop_p > 0.0:
-        x = ad.dropout_apply(x, ad.make_dropout_mask(x.shape, drop_p, rng))
-    zeros = Tensor(np.zeros((batch, q)))
-    (fwd, _, _), (bwd, bwd_h, bwd_c) = (
-        ad.lstm(
-            ad.add(ad.matmul(x, params[f"enc_{d}_Wx"]), params[f"enc_{d}_b"]),
-            params[f"enc_{d}_Wh"], zeros, zeros, src_mask, reverse=d == "bwd",
-        )
-        for d in ("fwd", "bwd")
-    )
-    annotations = ad.concat([fwd, bwd], axis=2)
-    h0 = ad.tanh(ad.add(ad.matmul(bwd_h, params["dec_init_h_W"]), params["dec_init_h_b"]))
-    c0 = ad.tanh(ad.add(ad.matmul(bwd_c, params["dec_init_c_W"]), params["dec_init_c_b"]))
-    return annotations, h0, c0
+    tables, ids = [params["src_char_emb"]], [src.T.reshape(-1)]
+    if params.feature_path:
+        if feats is None:
+            raise DataError("feature ids required when the feature path is enabled")
+        tables.append(params["src_feat_emb"])
+        ids.append(feats.T.reshape(-1))
+    width = sum(t.shape[1] for t in tables)
+    keep = ad.make_dropout_mask((src.size, width), drop_p, rng) if drop_p > 0.0 else None
+    return ad.encoder(tables, ids, src_mask, keep, *(params[name] for name in _ENCODER_WEIGHTS))
 
 
 def output_logits(h_tilde: Tensor, params: ModelParams) -> Tensor:

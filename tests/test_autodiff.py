@@ -12,12 +12,15 @@ def T(rng, *shape):
     return ad.Tensor(rng.normal(size=shape), requires_grad=True)
 
 
-def lstm_inputs(rng, length, batch, q):
-    """xw, Wh, h0, c0 for ad.lstm. Halving xw and Wh keeps the gates out of
+def encoder_inputs(rng, length, batch, widths, q, vocab=5):
+    """Tables of the given widths, their time-major ids, and the ten weights of
+    ad.encoder, all trainable. Halving every value keeps the gates out of
     saturation, so no gradient sinks into grad_check's finite-difference noise."""
-    xw = ad.Tensor(0.5 * rng.normal(size=(length * batch, 4 * q)), requires_grad=True)
-    Wh = ad.Tensor(0.5 * rng.normal(size=(q, 4 * q)), requires_grad=True)
-    return xw, Wh, T(rng, batch, q), T(rng, batch, q)
+    p = sum(widths)
+    shapes = [(vocab, w) for w in widths] + [(p, 4 * q), (q, 4 * q), (4 * q,)] * 2 + [(q, q), (q,)] * 2
+    tensors = [ad.Tensor(0.5 * rng.normal(size=s), requires_grad=True) for s in shapes]
+    ids = [rng.integers(0, vocab, size=length * batch) for _ in widths]
+    return tensors[: len(widths)], ids, tensors[len(widths) :]
 
 
 def total(x):
@@ -27,18 +30,20 @@ def total(x):
     return ad.matmul(ad.matmul(rows, x), cols)
 
 
-def weighted_sum(x, weight):
-    """sum(x * weight) as a (1, 1) tensor, for outputs of any rank.
+def weighted_sum(xs, weights):
+    """The sum over i of sum(xs[i] * weights[i]) as a (1, 1) tensor, for outputs of any rank.
 
-    No op of the engine reduces a 3-D tensor to a 2-D one, so this test
-    helper records its own (trivial) VJP.
+    No op of the engine reduces a 3-D tensor to a 2-D one, or adds two
+    scalars, so this test helper records its own (trivial) VJP.
     """
-    return ad._emit("weighted_sum", np.array([[np.vdot(x.data, weight)]]), (x,), lambda g: (g[0, 0] * weight,))
+    value = sum(np.vdot(x.data, w) for x, w in zip(xs, weights))
+    vjp = lambda g: tuple(g[0, 0] * w for w in weights)
+    return ad._emit("weighted_sum", np.array([[value]]), tuple(xs), vjp)
 
 
 def decoder_inputs(rng, steps, batch, src_len, p1, q):
     """emb, h0, c0, vectors and the five weights of ad.decoder, all trainable.
-    Halving the weights keeps the gates out of saturation, as in lstm_inputs."""
+    Halving the weights keeps the gates out of saturation, as in encoder_inputs."""
     shapes = [(steps * batch, p1), (batch, q), (batch, q), (batch, src_len, 2 * q),
               (p1 + q, 4 * q), (q, 4 * q), (4 * q,), (q, 2 * q), (3 * q, q)]
     return [ad.Tensor(0.5 * rng.normal(size=s), requires_grad=True) for s in shapes]
@@ -57,7 +62,10 @@ def test_matmul_identity():
 
 
 def test_tanh_sigmoid_at_zero():
-    assert ad.tanh(ad.Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
+    # zero gate pre-activations: sigmoid(0) = 1/2 on i, f, o and tanh(0) = 0 on g
+    acts, c, tanh_c, h = ad._cell(np.zeros((1, 4)), np.zeros((1, 1)), "cell")
+    assert acts.tolist() == [[0.5, 0.5, 0.5, 0.0]]
+    assert c.tolist() == tanh_c.tolist() == h.tolist() == [[0.0]]
 
 
 def test_masked_nll_uniform_logits():
@@ -85,7 +93,7 @@ def test_unused_parameter_has_no_gradient():
     rng = derive_rng(2, "unused")
     used, unused = T(rng, 2, 2), T(rng, 2, 2)
     with ad.Tape() as tape:
-        loss = total(ad.tanh(used))
+        loss = total(ad.mul(used, used))
     ad.backward(loss, tape)
     assert used.grad is not None
     assert unused.grad is None  # treated as zero downstream
@@ -115,7 +123,7 @@ def test_backward_requires_scalar():
     rng = derive_rng(5, "scalar")
     w = T(rng, 2, 2)
     with ad.Tape() as tape:
-        y = ad.tanh(w)
+        y = ad.mul(w, w)
     with pytest.raises(ShapeError):
         ad.backward(y, tape)
 
@@ -123,7 +131,7 @@ def test_backward_requires_scalar():
 def test_ops_outside_tape_do_not_record():
     rng = derive_rng(6, "notape")
     w = T(rng, 2, 2)
-    out = ad.tanh(w)
+    out = ad.mul(w, w)
     assert out.requires_grad is False
 
 
@@ -238,21 +246,25 @@ def _op_cases(rng):
     x, y = T(rng, 3, 4), T(rng, 3, 4)
     bias = T(rng, 4)
     emb = T(rng, 5, 3)
-    xw, Wh, h0, c0 = lstm_inputs(rng, 3, 2, 3)
-    lstm_mask = np.array([[True, True, False], [True, False, True]])
-    per_step = rng.normal(size=(2, 3, 3))
+    # 4 positions over a ragged pair of sources; every output reaches the loss
+    enc_mask = np.array([[True, True, True, False], [True, False, True, True]])
+    enc_keep = ad.make_dropout_mask((8, 3), 0.4, derive_rng(2, "drop"))
+    enc_feat = encoder_inputs(rng, 4, 2, (2, 1), 3)
+    enc_plain = encoder_inputs(rng, 4, 2, (3,), 3)
+    enc_weights = [rng.normal(size=s) for s in ((2, 4, 6), (2, 3), (2, 3))]
 
-    def lstm_loss(reverse, c_init=c0):
-        H, h, c = ad.lstm(xw, Wh, h0, c_init, lstm_mask, reverse)
-        return total(ad.concat([weighted(ad.concat([h, c], axis=1)), weighted_sum(H, per_step)], axis=1))
+    def encoder_loss(inputs, keep):
+        tables, ids, weights = inputs
+        return weighted_sum(ad.encoder(tables, ids, enc_mask, keep, *weights), enc_weights)
 
     # 3 steps over a ragged pair of sources (4 and 2 real positions)
     dec = decoder_inputs(rng, 3, 2, 4, 3, 3)
     dec_mask = np.array([[True, True, True, True], [True, True, False, False]])
     feed_mask = ad.make_dropout_mask((3, 2, 3), 0.4, derive_rng(1, "drop"))
 
-    def decoder_loss(feed_keep):
+    def decoder_loss(feed_keep, shared_init=False):
         emb, h0, c0, vectors, *weights = dec
+        c0 = h0 if shared_init else c0
         return weighted(ad.decoder(emb, h0, c0, vectors, dec_mask, *weights, feed_keep=feed_keep))
 
     logits = T(rng, 3, 5)
@@ -263,17 +275,16 @@ def _op_cases(rng):
         ("matmul", lambda: weighted(ad.matmul(a, b)), [a, b]),
         ("add_bias", lambda: weighted(ad.add(x, bias)), [x, bias]),
         ("mul", lambda: weighted(ad.mul(x, ad.mul(y, mix))), [x, y]),
-        ("tanh", lambda: weighted(ad.tanh(x)), [x]),
-        ("concat", lambda: weighted(ad.concat([x, y], axis=1)), [x, y]),
         ("embedding", lambda: weighted(ad.embedding_lookup(emb, np.array([0, 2, 2]))), [emb]),
         ("dropout", lambda: weighted(ad.dropout_apply(x, drop_mask)), [x]),
         ("masked_nll", lambda: ad.masked_nll(logits, targets, mask), [logits]),
-        ("lstm", lambda: lstm_loss(False), [xw, Wh, h0, c0]),
-        ("lstm_reverse", lambda: lstm_loss(True), [xw, Wh, h0, c0]),
-        # one leaf as both h0 and c0: two gradients for it from one record
-        ("lstm_shared_init", lambda: lstm_loss(False, c_init=h0), [xw, Wh, h0]),
+        ("encoder", lambda: encoder_loss(enc_feat, None), enc_feat[0] + enc_feat[2]),
+        ("encoder_no_features", lambda: encoder_loss(enc_plain, None), enc_plain[0] + enc_plain[2]),
+        ("encoder_dropout", lambda: encoder_loss(enc_feat, enc_keep), enc_feat[0] + enc_feat[2]),
         ("decoder", lambda: decoder_loss(None), dec),
         ("decoder_feed_dropout", lambda: decoder_loss(feed_mask), dec),
+        # one leaf as both h0 and c0: two gradients for it from one record
+        ("decoder_shared_init", lambda: decoder_loss(None, shared_init=True), dec[:2] + dec[3:]),
     ]
 
 
@@ -286,19 +297,41 @@ def test_every_op_passes_grad_check(seed):
 
 
 def test_multi_output_op_with_unused_outputs_backpropagates():
-    # only h_T reaches the loss; H and c_T get zero output gradients
-    rng = derive_rng(22, "lstm-unused")
-    xw, Wh, h0, c0 = lstm_inputs(rng, 4, 2, 3)
+    # only h0 reaches the loss; the annotations and c0 get zero output gradients
+    rng = derive_rng(22, "encoder-unused")
+    tables, ids, weights = encoder_inputs(rng, 4, 2, (2, 1), 3)
     mask = np.array([[True, True, True, True], [True, True, False, False]])
-    assert ad.grad_check(lambda: total(ad.lstm(xw, Wh, h0, c0, mask)[1]), [xw, Wh, h0, c0]) <= 1e-4
-    assert not np.any(xw.grad.reshape(4, 2, -1)[2:, 1])  # padded steps take no gradient
+    ids[0][:] = np.where(mask.T.reshape(-1), 1 + ids[0] % 4, 0)  # time-major, as the ids
+
+    def loss():
+        return total(ad.encoder(tables, ids, mask, None, *weights)[1])
+
+    assert ad.grad_check(loss, tables + weights) <= 1e-4
+    assert not tables[0].grad[0].any()  # id 0 sits only at padded positions: no gradient
+    assert not any(w.grad.any() for w in weights[:3])  # the forward direction reaches only the annotations
+    assert not any(w.grad.any() for w in weights[8:])  # nor does the c0 map reach h0
+    assert all(w.grad.any() for w in weights[3:8])
 
 
 def test_lstm_non_finite_gate_raises():
-    xw = ad.Tensor(np.full((2, 4), np.inf))
-    zero = ad.Tensor(np.zeros((1, 1)))
-    with pytest.raises(NumericError, match="lstm"):
-        ad.lstm(xw, ad.Tensor(np.zeros((1, 4))), zero, zero)
+    tables, ids, weights = encoder_inputs(derive_rng(24, "encoder-inf"), 2, 1, (2,), 1)
+    weights[2].data[:] = np.inf  # the forward direction's bias
+    with pytest.raises(NumericError, match="encoder"):
+        ad.encoder(tables, ids, np.ones((1, 2), dtype=bool), None, *weights)
+
+
+def test_encoder_rejects_mismatched_shapes():
+    tables, ids, weights = encoder_inputs(derive_rng(25, "encoder-shapes"), 2, 3, (2, 1), 3)
+    mask = np.ones((3, 2), dtype=bool)
+    ad.encoder(tables, ids, mask, None, *weights)
+    for bad in (
+        (tables, ids, np.ones((3, 3), dtype=bool), None, *weights),  # mask
+        (tables, ids[:1], mask, None, *weights),  # ids for one table only
+        (tables, ids, mask, np.ones((6, 2)), *weights),  # keep
+        (tables, ids, mask, None, *weights[3:], *weights[:3]),  # weights out of order
+    ):
+        with pytest.raises(ShapeError, match="encoder"):
+            ad.encoder(*bad)
 
 
 def test_decoder_rejects_mismatched_shapes():
@@ -316,13 +349,18 @@ def test_grad_check_constant_function_is_exact():
 def test_deterministic_forward_bit_identical():
     def once():
         rng = derive_rng(21, "determinism")
-        x = T(rng, 4, 4)
+        tables, ids, enc_weights = encoder_inputs(rng, 3, 2, (2, 1), 3)
+        emb, _, _, _, *dec_weights = decoder_inputs(rng, 2, 2, 3, 3, 3)
+        mask = np.array([[True, True, True], [True, True, False]])
+        keep = ad.make_dropout_mask((6, 3), 0.3, rng)
         with ad.Tape() as tape:
-            loss = total(ad.mul(ad.tanh(ad.matmul(x, x)), x))
+            ann, h0, c0 = ad.encoder(tables, ids, mask, keep, *enc_weights)
+            loss = total(ad.decoder(emb, h0, c0, ann, mask, *dec_weights))
         ad.backward(loss, tape)
-        return loss.item(), x.grad.copy()
+        return loss.item(), [t.grad.copy() for t in tables + enc_weights + [emb] + dec_weights]
 
     l1, g1 = once()
     l2, g2 = once()
     assert l1 == l2
-    np.testing.assert_array_equal(g1, g2)
+    for a, b in zip(g1, g2):
+        np.testing.assert_array_equal(a, b)

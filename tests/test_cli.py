@@ -70,6 +70,20 @@ def test_build_vocab_end_to_end(tmp_path):
     assert len(vocab) == 6
 
 
+@pytest.mark.parametrize("max_size", ["0", "-2", "3"])
+def test_build_vocab_max_size_follows_train_rule(max_size, tmp_path, capsys):
+    # 0 is unlimited; a negative size, or one with no room past the 4 reserved entries, is a usage error
+    src, out = tmp_path / "in.txt", tmp_path / "vocab.tsv"
+    src.write_text("aab\nb\n", encoding="utf-8")
+    code = run(["build-vocab", "--input", str(src), "--output", str(out), "--max-size", max_size])
+    err = capsys.readouterr().err
+    if max_size == "0":
+        assert code == 0 and len(radnmt.Vocab.load(out)) == 6
+    else:
+        assert code == 1 and "max_size must be" in err and not out.exists()
+    assert "Traceback" not in err
+
+
 def test_load_config_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nhidden=64\ndropout=0.3\n\n", encoding="utf-8")

@@ -12,7 +12,6 @@ from radnmt.errors import ConfigError, ContractError, DataError
 from radnmt.model import (
     ModelParams,
     decode_step,
-    embed_with_features,
     encode,
     forward_loss,
     load_checkpoint,
@@ -30,92 +29,112 @@ def test_config_validation():
         tiny_config(dropout=1.0)
 
 
+def encode_one(params, src, feats=None, drop_p=0.0, rng=None):
+    """encode of a fully unmasked id grid, as plain arrays."""
+    mask = np.ones(src.shape, dtype=bool)
+    return [t.data for t in encode(src, feats, mask, params, drop_p, rng)]
+
+
 def test_embedding_concat_length():
-    rng = derive_rng(0, "emb")
-    e1 = Tensor(rng.normal(size=(9, 6)), requires_grad=True)
-    e2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-    out = embed_with_features(np.array([1, 4]), np.array([0, 3]), e1, e2)
-    assert out.shape == (2, 8)
-    np.testing.assert_array_equal(out.data[:, :6], e1.data[[1, 4]])
-    np.testing.assert_array_equal(out.data[:, 6:], e2.data[[0, 3]])
+    # a no-feature model whose character table holds [char_emb[c] | feat_emb[r]]
+    # per (c, r) pair, fed the pair index, reproduces the feature path bitwise
+    with_feat = ModelParams.initialize(tiny_config(), seed=0)
+    src, feats = np.array([[5, 4, 5], [6, 6, 2]]), np.array([[3, 1, 7], [3, 3, 0]])
+    joined_config = tiny_config(char_embed_dim=6, feat_embed_dim=0)
+    joined = ModelParams.initialize(joined_config, seed=0, feature_path=False)
+    chars, radicals = with_feat["src_char_emb"].data, with_feat["src_feat_emb"].data
+    joined["src_char_emb"].data[:6] = np.hstack([chars[src.reshape(-1)], radicals[feats.reshape(-1)]])
+    for name, t in with_feat.named():
+        if name.startswith(("enc_", "dec_init_")):
+            joined[name].data[...] = t.data
+    got = encode_one(with_feat, src, feats)
+    want = encode_one(joined, np.arange(6).reshape(2, 3))
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_embedding_no_feature_path_is_plain_lookup():
-    rng = derive_rng(1, "emb")
-    e1 = Tensor(rng.normal(size=(9, 6)))
-    out = embed_with_features(np.array([2, 7]), None, e1, None)
-    np.testing.assert_array_equal(out.data, e1.data[[2, 7]])
+    params = ModelParams.initialize(tiny_config(feat_embed_dim=0), seed=1, feature_path=False)
+    src = np.array([[2, 7, 4]])
+    plain = encode_one(params, src)
+    for feats in (np.array([[1, 2, 3]]), np.array([[7, 7, 0]])):
+        for a, b in zip(encode_one(params, src, feats), plain):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_embedding_zero_width_feature_matches_plain_lookup_bitwise():
-    rng = derive_rng(2, "emb")
-    e1 = Tensor(rng.normal(size=(9, 6)))
-    e2 = Tensor(np.zeros((5, 0)))
-    ids = np.array([0, 3, 8])
-    with_feat = embed_with_features(ids, np.array([1, 2, 3]), e1, e2)
-    plain = embed_with_features(ids, None, e1, None)
-    np.testing.assert_array_equal(with_feat.data, plain.data)
+    # per-name init gives both models the same character table and encoder weights
+    zero_width = ModelParams.initialize(tiny_config(feat_embed_dim=0), seed=2)
+    plain = ModelParams.initialize(tiny_config(feat_embed_dim=0), seed=2, feature_path=False)
+    assert zero_width["src_feat_emb"].shape == (8, 0)
+    src, feats = np.array([[0, 3, 7], [4, 4, 2]]), np.array([[1, 2, 3], [5, 6, 0]])
+    for drop_p in (0.0, 0.3):
+        a = encode_one(zero_width, src, feats, drop_p, derive_rng(0, "drop"))
+        b = encode_one(plain, src, None, drop_p, derive_rng(0, "drop"))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_same_char_different_radical_differs_iff_features_present():
-    rng = derive_rng(3, "emb")
-    e1 = Tensor(rng.normal(size=(9, 6)))
-    e2 = Tensor(rng.normal(size=(5, 2)))
-    ids = np.array([4, 4])
-    feats = np.array([1, 2])
-    out = embed_with_features(ids, feats, e1, e2)
-    assert not np.array_equal(out.data[0], out.data[1])
-    plain = embed_with_features(ids, None, e1, None)
-    np.testing.assert_array_equal(plain.data[0], plain.data[1])
+    src, feats = np.array([[4], [4]]), np.array([[1], [2]])  # one sentence per radical
+    with_feat = encode_one(ModelParams.initialize(tiny_config(), seed=3), src, feats)
+    baseline = ModelParams.initialize(tiny_config(feat_embed_dim=0), seed=3, feature_path=False)
+    plain = encode_one(baseline, src, feats)
+    for a, b in zip(with_feat, plain):
+        assert not np.array_equal(a[0], a[1])
+        np.testing.assert_array_equal(b[0], b[1])
 
 
-def lstm_cell(x, h_prev, c_prev, Wx, Wh, b):
-    """One LSTM step: ad.lstm over a single position."""
-    _, h, c = ad.lstm(ad.add(ad.matmul(x, Wx), b), Wh, h_prev, c_prev)
-    return h, c
+def test_encode_feature_path_needs_feature_ids():
+    with pytest.raises(DataError, match="feature ids"):
+        encode_one(ModelParams.initialize(tiny_config(), seed=4), np.array([[4, 5]]))
 
 
 def test_lstm_zero_weights_zero_output():
-    q, p = 3, 4
-    zeros = lambda *s: Tensor(np.zeros(s))
-    h, c = lstm_cell(
-        Tensor(np.ones((2, p))), zeros(2, q), zeros(2, q),
-        zeros(p, 4 * q), zeros(q, 4 * q), Tensor(np.zeros(4 * q)),
-    )
-    np.testing.assert_array_equal(h.data, np.zeros((2, q)))
+    params = ModelParams.initialize(tiny_config(), seed=4)
+    for name in ("enc_fwd_Wx", "enc_fwd_Wh", "enc_fwd_b", "enc_bwd_Wx", "enc_bwd_Wh", "enc_bwd_b",
+                 "dec_init_h_W", "dec_init_h_b", "dec_init_c_W", "dec_init_c_b"):
+        params[name].data[...] = 0.0
+    ann, h0, c0 = encode_one(params, np.array([[4, 5, 6], [7, 7, 2]]), np.array([[1, 2, 3], [4, 5, 0]]))
+    np.testing.assert_array_equal(ann, np.zeros((2, 3, 8)))
+    np.testing.assert_array_equal(h0, np.zeros((2, 4)))
+    np.testing.assert_array_equal(c0, np.zeros((2, 4)))
 
 
 def test_lstm_hidden_state_bounded():
-    rng = derive_rng(4, "lstm")
-    q, p = 5, 6
-    h, c = lstm_cell(
-        Tensor(rng.normal(size=(3, p))),
-        Tensor(rng.normal(size=(3, q))),
-        Tensor(rng.normal(size=(3, q)) * 3),
-        Tensor(rng.normal(size=(p, 4 * q))),
-        Tensor(rng.normal(size=(q, 4 * q))),
-        Tensor(rng.normal(size=4 * q)),
-    )
-    assert (np.abs(h.data) < 1.0).all()  # h = o * tanh(c); c itself is unbounded
+    params = ModelParams.initialize(tiny_config(), seed=5, init_low=-3.0, init_high=3.0)
+    rng = derive_rng(4, "encoder-bounded")
+    ann, h0, c0 = encode_one(params, rng.integers(0, 8, size=(3, 5)), rng.integers(0, 8, size=(3, 5)))
+    # h = o * tanh(c) and the start state is a tanh: all inside (-1, 1), though c is unbounded
+    for x in (ann, h0, c0):
+        assert (np.abs(x) < 1.0).all()
 
 
 def test_lstm_grad_check():
-    rng = derive_rng(5, "lstm-grad")
-    q, p = 3, 4
-    x = Tensor(rng.normal(size=(2, p)))
-    h0 = Tensor(rng.normal(size=(2, q)))
-    c0 = Tensor(rng.normal(size=(2, q)))
-    Wx = Tensor(rng.uniform(-0.5, 0.5, size=(p, 4 * q)), requires_grad=True)
-    Wh = Tensor(rng.uniform(-0.5, 0.5, size=(q, 4 * q)), requires_grad=True)
-    b = Tensor(rng.uniform(-0.5, 0.5, size=4 * q), requires_grad=True)
-    weight = Tensor(rng.normal(size=(2, 2 * q)))
+    # encode's parameters on a ragged batch, through the loss the decoder makes of them
+    params = ModelParams.initialize(tiny_config(), seed=5, init_low=-0.5, init_high=0.5)
+    batch = tiny_batch(8, batch=2, src_len=4)
+    batch.src[1, 2:] = batch.feats[1, 2:] = 0
+    batch.src_mask[1, 2:] = False
+    encoder_params = [t for name, t in params.named() if name.startswith(("src_", "enc_", "dec_init_"))]
+    assert len(encoder_params) == 12
 
     def f():
-        h, c = lstm_cell(x, h0, c0, Wx, Wh, b)
-        mixed = ad.mul(ad.concat([h, c], axis=1), weight)
-        return ad.matmul(ad.matmul(Tensor(np.ones((1, 2))), mixed), Tensor(np.ones((2 * q, 1))))
+        total, count = forward_loss(batch, params)
+        return ad.mul(total, Tensor(np.asarray(1.0 / count)))
 
-    assert ad.grad_check(f, [Wx, Wh, b]) <= 1e-4
+    assert ad.grad_check(f, encoder_params, eps=2e-3) <= 1e-4
+
+
+@pytest.mark.parametrize("feature_path", [True, False])
+def test_forward_loss_tape_records(feature_path):
+    # encoder, target embedding, decoder, output matmul and add, masked_nll; dropout adds one
+    config = tiny_config() if feature_path else tiny_config(feat_embed_dim=0)
+    params = ModelParams.initialize(config, seed=6, feature_path=feature_path)
+    for train, expected in ((False, 6), (True, 7)):
+        with ad.Tape() as tape:
+            forward_loss(tiny_batch(9), params, train=train, dropout=0.3, rng=derive_rng(0, "d"))
+        assert len(tape) == expected
 
 
 def test_forget_gate_bias_initialized_to_one():
