@@ -6,14 +6,17 @@ backward() replays the records once, in reverse. Every VJP returns one
 gradient per input: those reaching op outputs are summed, those reaching
 requires_grad leaves go to .grad, and those reaching constants are
 dropped. Ops executed with no active tape run forward-only. Dropout
-masks come pre-scaled: 1 / (1 - p) on kept lanes, 0 on dropped ones.
+masks come pre-scaled: 1 / (1 - p) on kept lanes, 0 on dropped ones,
+and the ops that take one multiply by it.
 
 Everything is float64. Every op checks its output for NaN/Inf and
 raises NumericError rather than letting poison propagate. The
-bidirectional encoder and the attentional decoder each run whole
-recurrences as one record with a hand-derived BPTT VJP, on one shared
-LSTM cell; decoder's step is the plain-numpy decoder_step, which beam
-search runs one step at a time over the hypotheses of many sentences.
+bidirectional encoder and the attentional decoder each gather their
+embeddings and run whole recurrences as one record with a hand-derived
+BPTT VJP, on one shared LSTM cell; decoder's step is the plain-numpy
+decoder_step, which beam search runs one step at a time over the
+hypotheses of many sentences. output_nll projects every step's h~ to
+the target vocabulary and scores it as one more record.
 """
 
 from __future__ import annotations
@@ -158,18 +161,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", out, (a, b), vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """A 1-D bias b broadcast over the rows of a 2-D a."""
-    if a.data.ndim != 2 or b.data.ndim != 1 or b.shape[0] != a.shape[1]:
-        raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    out = a.data + b.data
-
-    def vjp(g):
-        return g, g.sum(axis=0)
-
-    return _emit("add", out, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
@@ -292,9 +283,7 @@ def encoder(
         dx = next(dbwd) + next(dfwd)
         dx = dx if keep is None else dx * keep
         for table, rows, part in zip(tables, ids, np.split(dx, np.cumsum(widths[:-1]), axis=1)):
-            grad = np.zeros_like(table.data)
-            np.add.at(grad, rows, part)
-            yield grad
+            yield _scatter(table, rows, part)
         yield from dfwd
         yield from dbwd
         yield from (h.T @ dh0, dh0.sum(axis=0), c.T @ dc0, dc0.sum(axis=0))
@@ -311,32 +300,11 @@ def _gather(table: Tensor, ids: np.ndarray, op: str) -> np.ndarray:
     return table.data[ids]
 
 
-def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of table (V, d) at integer ids (n,)."""
-    ids = np.asarray(ids)
-    if table.data.ndim != 2 or ids.ndim != 1:
-        raise ShapeError(f"embedding_lookup: table {table.shape}, ids {ids.shape}")
-    out = _gather(table, ids, "embedding_lookup")
-
-    def vjp(g):
-        grad = np.zeros_like(table.data)
-        np.add.at(grad, ids, g)
-        return (grad,)
-
-    return _emit("embedding_lookup", out, (table,), vjp)
-
-
-def dropout_apply(x: Tensor, keep: np.ndarray) -> Tensor:
-    """Inverted dropout: multiply by a keep mask that make_dropout_mask pre-scaled."""
-    keep = np.asarray(keep, dtype=np.float64)
-    if keep.shape != x.data.shape:
-        raise ShapeError(f"dropout mask shape {keep.shape} != input {x.shape}")
-    out = x.data * keep
-
-    def vjp(g):
-        return (g * keep,)
-
-    return _emit("dropout", out, (x,), vjp)
+def _scatter(table: Tensor, ids: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient reaching table from the gradient (n, d) of its rows at ids, as _gather read them."""
+    out = np.zeros_like(table.data)
+    np.add.at(out, ids, grad)
+    return out
 
 
 def make_dropout_mask(shape, drop_p: float, rng: np.random.Generator) -> np.ndarray:
@@ -356,27 +324,34 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return stable - np.log(np.exp(stable).sum(axis=-1, keepdims=True))
 
 
-def masked_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Sum of -log_softmax(logits)[target] over unmasked rows (scalar)."""
-    targets = np.asarray(targets)
-    maskf = np.asarray(mask, dtype=np.float64)
-    n, v = logits.shape if logits.data.ndim == 2 else (None, None)
-    if n is None or targets.shape != (n,) or maskf.shape != (n,):
-        raise ShapeError(
-            f"masked_nll: logits {logits.shape}, targets {targets.shape}, mask {np.shape(mask)}"
-        )
+def project(h_tilde: np.ndarray, out_W: np.ndarray, out_b: np.ndarray) -> np.ndarray:
+    """Target-vocabulary logits h~ @ out_W + out_b of any number of h~ rows, checked finite."""
+    logits = h_tilde @ out_W + out_b
+    _finite_or_raise(logits, "output projection")
+    return logits
+
+
+def output_nll(h_tilde: Tensor, out_W: Tensor, out_b: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Sum of -log_softmax(project(h~))[target] over the rows where mask is set (scalar)."""
+    targets, maskf = np.asarray(targets), np.asarray(mask, dtype=np.float64)
+    n, v = h_tilde.shape[0], out_W.shape[-1]
+    if ([t.data.ndim for t in (h_tilde, out_W, out_b)] != [2, 2, 1] or out_W.shape[0] != h_tilde.shape[1]
+            or out_b.shape != (v,) or targets.shape != (n,) or maskf.shape != (n,)):
+        raise ShapeError(f"output_nll: h~ {h_tilde.shape}, out_W {out_W.shape}, out_b {out_b.shape}, "
+                         f"targets {targets.shape}, mask {np.shape(mask)}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise ShapeError(f"masked_nll: target id outside 0..{v - 1}")
+        raise ShapeError(f"output_nll: target id outside 0..{v - 1}")
     rows = np.arange(n)
-    logp = log_softmax(logits.data)
+    logp = log_softmax(project(h_tilde.data, out_W.data, out_b.data))
     out = np.asarray((-logp[rows, targets] * maskf).sum())
 
     def vjp(g):
-        probs = np.exp(logp)
-        probs[rows, targets] -= 1.0
-        return (probs * maskf[:, None] * float(g),)
+        dlogits = np.exp(logp)
+        dlogits[rows, targets] -= 1.0
+        dlogits = dlogits * maskf[:, None] * float(g)
+        return dlogits @ out_W.data.T, h_tilde.data.T @ dlogits, dlogits.sum(axis=0)
 
-    return _emit("masked_nll", out, (logits,), vjp)
+    return _emit("output_nll", out, (h_tilde, out_W, out_b), vjp)
 
 
 def decoder_step(emb, h_tilde, h, c, vectors, mask, Wx, Wh, b, attn_W, attn_out_W):
@@ -409,44 +384,51 @@ def decoder_step(emb, h_tilde, h, c, vectors, mask, Wx, Wh, b, attn_W, attn_out_
 
 
 def decoder(
-    emb: Tensor, h0: Tensor, c0: Tensor, vectors: Tensor, mask: np.ndarray,
-    Wx: Tensor, Wh: Tensor, b: Tensor, attn_W: Tensor, attn_out_W: Tensor, feed_keep=None,
+    table: Tensor, ids: np.ndarray, keep: np.ndarray | None, h0: Tensor, c0: Tensor, vectors: Tensor,
+    mask: np.ndarray, Wx: Tensor, Wh: Tensor, b: Tensor, attn_W: Tensor, attn_out_W: Tensor,
 ) -> Tensor:
     """The whole teacher-forced attentional decoder as one op; returns H~ (T*B, q).
 
-    Row t*B + b of emb is the input embedding of step t of batch row b.
-    Each step runs decoder_step from (h0, c0) and a zero h~; its h~, times
-    feed_keep[t] if given (make_dropout_mask's keep masks, (T, B, q)), is row
-    block t of H~ and the next step's fed-back input. The BPTT VJP runs only data-gradient
-    products in its loop; each weight gets one product over all T*B rows.
+    Step t of batch row b reads the row of table (V, p1) at ids[t*B + b].
+    Each step runs decoder_step from (h0, c0) and a zero h~; its h~ is row
+    block t of H~ and the next step's fed-back input. keep, if given, holds
+    make_dropout_mask's (T, B, p1 + q) masks: keep[t, :, :p1] scales step
+    t's embeddings and keep[t, :, p1:] its h~. The BPTT VJP runs only
+    data-gradient products in its loop; each weight gets one product over
+    all T*B rows.
     """
-    batch, q = h0.shape
-    length, p1 = emb.shape[0] // batch, emb.shape[1]
-    src_len = np.shape(mask)[-1]
-    inputs = (emb, h0, c0, vectors, Wx, Wh, b, attn_W, attn_out_W)
-    expected = [(length * batch, p1), (batch, q), (batch, q), (batch, src_len, 2 * q),
+    (batch, q), p1 = h0.shape, table.shape[-1]
+    length, src_len = np.size(ids) // batch, np.shape(mask)[-1]
+    # the table last: its dense gradient is made once the others are stored
+    inputs = (h0, c0, vectors, Wx, Wh, b, attn_W, attn_out_W, table)
+    expected = [(batch, q), (batch, q), (batch, src_len, 2 * q),
                 (p1 + q, 4 * q), (q, 4 * q), (4 * q,), (q, 2 * q), (3 * q, q)]
-    if not length or [t.shape for t in inputs] != expected or np.shape(mask) != (batch, src_len):
-        raise ShapeError(f"decoder: inputs {[t.shape for t in inputs]}, mask {np.shape(mask)}")
-    emb3 = emb.data.reshape(length, batch, p1)
-    keep = np.ones((length, 1, 1)) if feed_keep is None else feed_keep
+    if (not length or table.data.ndim != 2 or np.shape(ids) != (length * batch,)
+            or [t.shape for t in inputs[:-1]] != expected or np.shape(mask) != (batch, src_len)
+            or keep is not None and np.shape(keep) != (length, batch, p1 + q)):
+        raise ShapeError(f"decoder: inputs {[t.shape for t in inputs]}, ids {np.shape(ids)}, "
+                         f"mask {np.shape(mask)}, keep {np.shape(keep)}")
+    keep = np.ones((length, 1, p1 + q)) if keep is None else keep
+    emb_keep, h_keep = keep[..., :p1], keep[..., p1:]
+    emb = _gather(table, ids, "decoder").reshape(length, batch, p1) * emb_keep
     h, c, h_tilde = h0.data, c0.data, np.zeros((batch, q))
     steps = []
     for t in range(length):
         (h, c, u), trace = decoder_step(
-            emb3[t], h_tilde, h, c, vectors.data, mask, *(w.data for w in inputs[4:])
+            emb[t], h_tilde, h, c, vectors.data, mask, *(w.data for w in inputs[3:-1])
         )
-        h_tilde = u * keep[t]
+        h_tilde = u * h_keep[t]
         steps.append((h, u, h_tilde) + trace)
     H, U, Y, X, H_prev, C_prev, acts, tanh_c, proj, A, HC = map(np.stack, zip(*steps))
 
     def vjp(dY):
+        # a generator, as encoder's, so backward stores each gradient before the next is made
         dY = dY.reshape(length, batch, q)
         dgates = np.empty_like(acts)
         dpre, dctx, dscores, dproj = (np.empty_like(a) for a in (U, proj, A, proj))
         dh = dc = dfeed = np.zeros((batch, q))
         for t in reversed(range(length)):
-            dpre[t] = (dY[t] + dfeed) * keep[t] * (1.0 - U[t] * U[t])
+            dpre[t] = (dY[t] + dfeed) * h_keep[t] * (1.0 - U[t] * U[t])
             dhc = dpre[t] @ attn_out_W.data.T
             dctx[t] = dhc[:, q:]
             dweights = np.einsum("bk,blk->bl", dctx[t], vectors.data)
@@ -458,16 +440,16 @@ def decoder(
             dfeed = dgates[t] @ Wx.data[p1:].T
 
         flat, n = dgates.reshape(length * batch, 4 * q), length * batch
-        return (
-            flat @ Wx.data[:p1].T, dh, dc,
-            # d vectors[b] = sum over t of A^T dctx + dscores^T proj, as one batched product
-            np.concatenate([A, dscores]).transpose(1, 2, 0) @ np.concatenate([dctx, proj]).transpose(1, 0, 2),
-            X.reshape(n, -1).T @ flat,
-            H_prev.reshape(n, q).T @ flat,
-            flat.sum(axis=0),
-            H.reshape(n, q).T @ dproj.reshape(n, 2 * q),
-            HC.reshape(n, 3 * q).T @ dpre.reshape(n, q),
-        )
+        yield from (dh, dc)
+        # d vectors[b] = sum over t of A^T dctx + dscores^T proj, as one batched product
+        yield np.concatenate([A, dscores]).transpose(1, 2, 0) @ np.concatenate([dctx, proj]).transpose(1, 0, 2)
+        yield X.reshape(n, -1).T @ flat
+        yield H_prev.reshape(n, q).T @ flat
+        yield flat.sum(axis=0)
+        yield H.reshape(n, q).T @ dproj.reshape(n, 2 * q)
+        yield HC.reshape(n, 3 * q).T @ dpre.reshape(n, q)
+        demb = (flat @ Wx.data[:p1].T).reshape(length, batch, p1) * emb_keep
+        yield _scatter(table, ids, demb.reshape(n, p1))
 
     return _emit("decoder", Y.reshape(length * batch, q), inputs, vjp)
 

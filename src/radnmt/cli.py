@@ -5,7 +5,8 @@ file < explicit flags. Every run writes a JSON manifest next to its
 primary output recording the resolved configuration, seeds and input
 digests.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
+Exit codes: 0 success, 1 usage error, 2 data error (or too little
+memory for the request), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -294,12 +295,12 @@ def _cmd_train(args) -> int:
         hidden_size=cfg["hidden"],
         dropout=cfg["dropout"],
     )
-    # --out is made only once every input and setting has been accepted
+    params = ModelParams.initialize(mconfig, seed, feature_path=not args.no_features)
+    # --out is made only once every input and setting has been accepted and the model fits in memory
     out_dir.mkdir(parents=True, exist_ok=True)
     src_vocab_path, tgt_vocab_path = _vocab_dir_paths(out_dir)
     src_vocab.save(src_vocab_path)
     tgt_vocab.save(tgt_vocab_path)
-    params = ModelParams.initialize(mconfig, seed, feature_path=not args.no_features)
     train_set = encode_corpus(train_pairs, src_vocab, tgt_vocab, table, cfg["max_src_len"])
     dev_set = encode_corpus(dev_pairs, src_vocab, tgt_vocab, table, max_chars=None)
     write_run_manifest(
@@ -415,6 +416,9 @@ def dispatch(argv) -> int:
         return 3
     except (OSError, RadnmtError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 2
 
 

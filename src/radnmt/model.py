@@ -16,9 +16,11 @@ Architecture:
   attentional output h~. Attention is Luong-style "general", score
   s^T W h over annotations, masked softmax, weighted-sum context;
   h~ = tanh(W_c [s; c]). The step is written once, as ad.decoder_step:
-  training records every step as one ad.decoder op, and decode_step
-  runs it untaped for beam search.
-* Output: linear projection of h~ to target vocabulary logits.
+  training records the target embedding lookup and every step as one
+  ad.decoder op, and decode_step runs it untaped for beam search.
+* Output: linear projection of h~ to target vocabulary logits; training
+  scores every step's logits as one ad.output_nll record, and
+  decode_step takes them from the same ad.project.
 
 Training-mode dropout is applied to the embedded encoder/decoder inputs
 and to h~ (the dropped h~ is both projected and fed forward).
@@ -27,6 +29,8 @@ and to h~ (the dropped h~ is both projected and fed forward).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -198,11 +202,6 @@ def encode(
     return ad.encoder(tables, ids, src_mask, keep, *(params[name] for name in _ENCODER_WEIGHTS))
 
 
-def output_logits(h_tilde: Tensor, params: ModelParams) -> Tensor:
-    """Target-vocabulary logits of any number of h~ rows."""
-    return ad.add(ad.matmul(h_tilde, params["out_W"]), params["out_b"])
-
-
 def decode_step(
     y_prev: np.ndarray,
     h_tilde_prev: np.ndarray,
@@ -221,7 +220,7 @@ def decode_step(
         params["tgt_char_emb"].data[y_prev], h_tilde_prev, *state, vectors, mask,
         *(params[name].data for name in _DECODER_WEIGHTS),
     )
-    return output_logits(Tensor(h_tilde), params).data, (h, c), h_tilde
+    return ad.project(h_tilde, params["out_W"].data, params["out_b"].data), (h, c), h_tilde
 
 
 def forward_loss(
@@ -233,27 +232,26 @@ def forward_loss(
 ) -> tuple[Tensor, int]:
     """Teacher-forced NLL summed over real target positions.
 
-    BOS is never predicted; EOS is. One decoder op runs every step, and
-    one projection and one masked_nll cover the h~ of every step.
+    BOS is never predicted; EOS is. The encoder, the decoder over every
+    step and the output loss over every step's h~ are one record each.
+    Under dropout, rng draws the encoder's mask first, then per step t
+    the (B, p1) mask of its embeddings and the (B, q) mask of its h~.
     Returns (total NLL, token count).
     """
     drop_p = (params.config.dropout if dropout is None else dropout) if train else 0.0
     ann, h0, c0 = encode(batch.src, batch.feats, batch.src_mask, params, drop_p, rng)
-    # time-major rows: row t*B + b is the input of step t of sentence b
-    emb = ad.embedding_lookup(params["tgt_char_emb"], batch.tgt[:, :-1].T.reshape(-1))
-    feed_keep = None
+    keep = None
     if drop_p > 0.0:
-        # step t's embedding mask, then its h~ mask: the order a step-by-step loop draws them in
         widths = (params.config.char_embed_dim, params.config.hidden_size)
-        draws = [ad.make_dropout_mask((batch.size, n), drop_p, rng)
-                 for _ in range(batch.tgt.shape[1] - 1) for n in widths]
-        emb = ad.dropout_apply(emb, np.concatenate(draws[::2]))
-        feed_keep = np.stack(draws[1::2])
-    weights = (params[name] for name in _DECODER_WEIGHTS)
-    h_tildes = ad.decoder(emb, h0, c0, ann, batch.src_mask, *weights, feed_keep=feed_keep)
-    logits = output_logits(h_tildes, params)
-    # row t*B + b of logits predicts tgt[b, t + 1]
-    total = ad.masked_nll(logits, batch.tgt[:, 1:].T.reshape(-1), batch.tgt_mask[:, 1:].T.reshape(-1))
+        keep = np.stack([
+            np.concatenate([ad.make_dropout_mask((batch.size, n), drop_p, rng) for n in widths], axis=1)
+            for _ in range(batch.tgt.shape[1] - 1)
+        ])
+    # time-major rows: row t*B + b is step t of sentence b, which reads tgt[b, t] and predicts tgt[b, t + 1]
+    h_tildes = ad.decoder(params["tgt_char_emb"], batch.tgt[:, :-1].T.reshape(-1), keep, h0, c0, ann,
+                          batch.src_mask, *(params[name] for name in _DECODER_WEIGHTS))
+    total = ad.output_nll(h_tildes, params["out_W"], params["out_b"],
+                          batch.tgt[:, 1:].T.reshape(-1), batch.tgt_mask[:, 1:].T.reshape(-1))
     return total, int(batch.tgt_mask[:, 1:].sum())
 
 
@@ -262,7 +260,12 @@ def forward_loss(
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Bit-exact binary checkpoint: magic, version, JSON manifest, f64 payload."""
+    """Bit-exact binary checkpoint: magic, version, JSON manifest, f64 payload.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over path, so a write cut off part way leaves path as it
+    was and no temporary file behind.
+    """
     tensors = list(params.named())
     directory = []
     offset = 0
@@ -277,13 +280,19 @@ def save_checkpoint(params: ModelParams, path) -> None:
         },
         ensure_ascii=False,
     ).encode("utf-8")
-    with Path(path).open("wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(manifest)))
-        f.write(manifest)
-        for _, t in tensors:
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.tmp")
+    try:
+        with partial.open("wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<Q", len(manifest)))
+            f.write(manifest)
+            for _, t in tensors:
+                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -296,15 +305,19 @@ def load_checkpoint(path) -> ModelParams:
             if version != CHECKPOINT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
             (manifest_len,) = struct.unpack("<Q", f.read(8))
+            if manifest_len > os.fstat(f.fileno()).st_size - f.tell():
+                raise ValueError(f"manifest of {manifest_len} bytes runs past the end of the file")
             manifest = json.loads(f.read(manifest_len).decode("utf-8"))
         except (struct.error, ValueError) as exc:  # short read, cut-off JSON
             raise DataError(f"{path}: truncated checkpoint header ({exc})") from exc
+        except RecursionError as exc:
+            raise DataError(f"{path}: invalid checkpoint manifest (nested too deeply)") from exc
         payload = f.read()
     config, feature_path, entries = _check_manifest(manifest, path)
     tensors = {}
     for entry in entries:
         shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)  # Python ints: a huge shape cannot wrap round to a small size
         start = entry["offset"]
         if start + 8 * size > len(payload):
             raise DataError(f"{path}: truncated checkpoint (payload ends inside {entry['name']})")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import radnmt
+from radnmt import autodiff as ad
 from radnmt.autodiff import log_softmax
 from radnmt.corpus import BOS, EOS, PAD, Batch
 from radnmt.model import decode_step, encode
@@ -82,6 +83,37 @@ def replay_score(params, src, feats, tokens) -> float:
         logits, state, ht = decode_step(np.array([prev]), ht, state, vectors, mask, params)
         total += float(log_softmax(logits)[0][tok])
         prev = tok
+    return total
+
+
+def replay_train_loss(params, batch, drop_p: float, rng) -> float:
+    """Training-mode NLL of batch, one decoder step at a time, from rng's masks.
+
+    The masks are drawn in forward_loss's documented order: the encoder's
+    (L*B, p) mask over time-major positions, then per step t the (B, p1)
+    mask of its input embeddings and the (B, q) mask of its h~.
+    """
+
+    def draw(shape):
+        return np.where(rng.random(shape) < 1.0 - drop_p, 1.0 / (1.0 - drop_p), 0.0)
+
+    tables, ids = [params["src_char_emb"]], [batch.src.T.reshape(-1)]
+    if params.feature_path:
+        tables.append(params["src_feat_emb"])
+        ids.append(batch.feats.T.reshape(-1))
+    enc_keep = draw((batch.src.size, sum(t.shape[1] for t in tables)))
+    enc_weights = [params[n] for n in ("enc_fwd_Wx", "enc_fwd_Wh", "enc_fwd_b", "enc_bwd_Wx", "enc_bwd_Wh",
+                                       "enc_bwd_b", "dec_init_h_W", "dec_init_h_b", "dec_init_c_W", "dec_init_c_b")]
+    vectors, h, c = (t.data for t in ad.encoder(tables, ids, batch.src_mask, enc_keep, *enc_weights))
+    dec_weights = [params[n].data for n in ("dec_Wx", "dec_Wh", "dec_b", "attn_W", "attn_out_W")]
+    p1, q = params.config.char_embed_dim, params.config.hidden_size
+    ht, total, rows = np.zeros((batch.size, q)), 0.0, np.arange(batch.size)
+    for t in range(batch.tgt.shape[1] - 1):
+        emb = params["tgt_char_emb"].data[batch.tgt[:, t]] * draw((batch.size, p1))
+        (h, c, ht), _ = ad.decoder_step(emb, ht, h, c, vectors, batch.src_mask, *dec_weights)
+        ht = ht * draw((batch.size, q))
+        logp = log_softmax(ht @ params["out_W"].data + params["out_b"].data)
+        total -= float((logp[rows, batch.tgt[:, t + 1]] * batch.tgt_mask[:, t + 1]).sum())
     return total
 
 

@@ -41,12 +41,14 @@ def weighted_sum(xs, weights):
     return ad._emit("weighted_sum", np.array([[value]]), tuple(xs), vjp)
 
 
-def decoder_inputs(rng, steps, batch, src_len, p1, q):
-    """emb, h0, c0, vectors and the five weights of ad.decoder, all trainable.
-    Halving the weights keeps the gates out of saturation, as in encoder_inputs."""
-    shapes = [(steps * batch, p1), (batch, q), (batch, q), (batch, src_len, 2 * q),
+def decoder_inputs(rng, steps, batch, src_len, p1, q, vocab=5):
+    """A table, its time-major ids, then h0, c0, vectors and the five weights of
+    ad.decoder, all trainable. Halving every value keeps the gates out of
+    saturation, as in encoder_inputs."""
+    shapes = [(vocab, p1), (batch, q), (batch, q), (batch, src_len, 2 * q),
               (p1 + q, 4 * q), (q, 4 * q), (4 * q,), (q, 2 * q), (3 * q, q)]
-    return [ad.Tensor(0.5 * rng.normal(size=s), requires_grad=True) for s in shapes]
+    table, *rest = (ad.Tensor(0.5 * rng.normal(size=s), requires_grad=True) for s in shapes)
+    return table, rng.integers(0, vocab, size=steps * batch), rest
 
 
 def test_softmax_symmetry():
@@ -69,11 +71,12 @@ def test_tanh_sigmoid_at_zero():
 
 
 def test_masked_nll_uniform_logits():
+    # zero projection weights and bias: every h~ row gets uniform logits
     v = 7
-    logits = ad.Tensor(np.zeros((4, v)))
+    h_tilde = ad.Tensor(derive_rng(4, "uniform").normal(size=(4, 3)))
     targets = np.array([0, 3, 6, 2])
     mask = np.array([1.0, 1.0, 0.0, 1.0])
-    out = ad.masked_nll(logits, targets, mask)
+    out = ad.output_nll(h_tilde, ad.Tensor(np.zeros((3, v))), ad.Tensor(np.zeros(v)), targets, mask)
     assert out.item() == pytest.approx(3 * math.log(v), abs=1e-12)
 
 
@@ -158,35 +161,46 @@ def test_softmax_masked_lanes_are_exactly_zero():
     # the decoder's attention softmax: a masked source position gets weight
     # exactly 0, so its annotation neither moves H~ nor takes a gradient
     rng = derive_rng(8, "softmax-mask")
-    emb, h0, c0, vectors, *weights = decoder_inputs(rng, 2, 3, 4, 3, 3)
+    table, ids, (h0, c0, vectors, *weights) = decoder_inputs(rng, 2, 3, 4, 3, 3)
     mask = np.array([[True, False, True, True]] * 3)
     with ad.Tape() as tape:
-        out = ad.decoder(emb, h0, c0, vectors, mask, *weights)
+        out = ad.decoder(table, ids, None, h0, c0, vectors, mask, *weights)
         loss = total(out)
     ad.backward(loss, tape)
     assert (vectors.grad[:, 1] == 0.0).all() and vectors.grad[:, 0].all()
     vectors.data[:, 1] = 1e3
-    np.testing.assert_array_equal(ad.decoder(emb, h0, c0, vectors, mask, *weights).data, out.data)
+    np.testing.assert_array_equal(ad.decoder(table, ids, None, h0, c0, vectors, mask, *weights).data, out.data)
 
 
 def test_dropout_keep_probability_one_is_identity():
-    rng = derive_rng(10, "dropout")
-    x = ad.Tensor(rng.normal(size=(4, 6)))
-    out = ad.dropout_apply(x, ad.make_dropout_mask(x.shape, 0.0, derive_rng(0, "mask")))
-    np.testing.assert_array_equal(out.data, x.data)
+    # a decoder keep mask drawn at drop probability 0 changes nothing, bit for bit
+    table, ids, (h0, c0, vectors, *weights) = decoder_inputs(derive_rng(10, "dropout"), 3, 2, 4, 3, 4)
+    mask = np.ones((2, 4), dtype=bool)
+    keep = ad.make_dropout_mask((3, 2, 7), 0.0, derive_rng(0, "mask"))
+    plain = ad.decoder(table, ids, None, h0, c0, vectors, mask, *weights)
+    np.testing.assert_array_equal(ad.decoder(table, ids, keep, h0, c0, vectors, mask, *weights).data, plain.data)
 
 
 def test_dropout_inverted_scaling_preserves_expectation():
-    rng = derive_rng(11, "dropout-exp")
-    x = ad.Tensor(np.ones((200, 50)))
-    out = ad.dropout_apply(x, ad.make_dropout_mask(x.shape, 0.3, rng))
-    assert out.data.mean() == pytest.approx(1.0, abs=0.02)
+    # keep[..., :p1] scales the embeddings: halving the table and doubling
+    # those columns is the same decoder; a mask at p = 0.3 has mean 1
+    table, ids, (h0, c0, vectors, *weights) = decoder_inputs(derive_rng(11, "dropout-exp"), 3, 2, 4, 3, 4)
+    mask = np.ones((2, 4), dtype=bool)
+    keep = np.ones((3, 2, 7))
+    keep[..., :3] = 2.0
+    halved = ad.Tensor(table.data / 2.0)
+    np.testing.assert_array_equal(ad.decoder(halved, ids, keep, h0, c0, vectors, mask, *weights).data,
+                                  ad.decoder(table, ids, None, h0, c0, vectors, mask, *weights).data)
+    keep = ad.make_dropout_mask((200, 50), 0.3, derive_rng(11, "dropout-mask"))
+    assert set(np.unique(keep)) == {0.0, 1.0 / 0.7}
+    assert keep.mean() == pytest.approx(1.0, abs=0.02)
 
 
 def test_embedding_rejects_out_of_range_id():
-    table = ad.Tensor(np.zeros((4, 2)))
-    with pytest.raises(ShapeError, match="position 1"):
-        ad.embedding_lookup(table, np.array([0, 7]))
+    # one step over two sentences: the second reads target id 7 of a 4-row table
+    table, _, (h0, c0, vectors, *weights) = decoder_inputs(derive_rng(12, "ids"), 1, 2, 3, 2, 3, vocab=4)
+    with pytest.raises(ShapeError, match="decoder: id 7 at position 1"):
+        ad.decoder(table, np.array([0, 7]), None, h0, c0, vectors, np.ones((2, 3), dtype=bool), *weights)
 
 
 def test_uniform_init_interval_and_determinism():
@@ -244,8 +258,6 @@ def _op_cases(rng):
 
     a, b = T(rng, 3, 4), T(rng, 4, 2)
     x, y = T(rng, 3, 4), T(rng, 3, 4)
-    bias = T(rng, 4)
-    emb = T(rng, 5, 3)
     # 4 positions over a ragged pair of sources; every output reaches the loss
     enc_mask = np.array([[True, True, True, False], [True, False, True, True]])
     enc_keep = ad.make_dropout_mask((8, 3), 0.4, derive_rng(2, "drop"))
@@ -257,34 +269,32 @@ def _op_cases(rng):
         tables, ids, weights = inputs
         return weighted_sum(ad.encoder(tables, ids, enc_mask, keep, *weights), enc_weights)
 
-    # 3 steps over a ragged pair of sources (4 and 2 real positions)
-    dec = decoder_inputs(rng, 3, 2, 4, 3, 3)
+    # 3 steps over a ragged pair of sources (4 and 2 real positions); ids repeat table rows
+    table, _, dec = decoder_inputs(rng, 3, 2, 4, 3, 3)
+    dec_ids = np.array([0, 2, 2, 4, 0, 1])
     dec_mask = np.array([[True, True, True, True], [True, True, False, False]])
-    feed_mask = ad.make_dropout_mask((3, 2, 3), 0.4, derive_rng(1, "drop"))
+    dec_keep = ad.make_dropout_mask((3, 2, 6), 0.4, derive_rng(1, "drop"))
 
-    def decoder_loss(feed_keep, shared_init=False):
-        emb, h0, c0, vectors, *weights = dec
+    def decoder_loss(keep, shared_init=False):
+        h0, c0, vectors, *weights = dec
         c0 = h0 if shared_init else c0
-        return weighted(ad.decoder(emb, h0, c0, vectors, dec_mask, *weights, feed_keep=feed_keep))
+        return weighted(ad.decoder(table, dec_ids, keep, h0, c0, vectors, dec_mask, *weights))
 
-    logits = T(rng, 3, 5)
+    # the third row is masked out: its h~ gets no gradient, its target no say
+    h_tilde, out_W, out_b = T(rng, 3, 4), T(rng, 4, 5), T(rng, 5)
     targets = np.array([1, 0, 4])
     mask = np.array([1.0, 1.0, 0.0])
-    drop_mask = ad.make_dropout_mask((3, 4), 0.4, derive_rng(0, "drop"))
     return [
         ("matmul", lambda: weighted(ad.matmul(a, b)), [a, b]),
-        ("add_bias", lambda: weighted(ad.add(x, bias)), [x, bias]),
         ("mul", lambda: weighted(ad.mul(x, ad.mul(y, mix))), [x, y]),
-        ("embedding", lambda: weighted(ad.embedding_lookup(emb, np.array([0, 2, 2]))), [emb]),
-        ("dropout", lambda: weighted(ad.dropout_apply(x, drop_mask)), [x]),
-        ("masked_nll", lambda: ad.masked_nll(logits, targets, mask), [logits]),
+        ("output_nll", lambda: ad.output_nll(h_tilde, out_W, out_b, targets, mask), [h_tilde, out_W, out_b]),
         ("encoder", lambda: encoder_loss(enc_feat, None), enc_feat[0] + enc_feat[2]),
         ("encoder_no_features", lambda: encoder_loss(enc_plain, None), enc_plain[0] + enc_plain[2]),
         ("encoder_dropout", lambda: encoder_loss(enc_feat, enc_keep), enc_feat[0] + enc_feat[2]),
-        ("decoder", lambda: decoder_loss(None), dec),
-        ("decoder_feed_dropout", lambda: decoder_loss(feed_mask), dec),
+        ("decoder", lambda: decoder_loss(None), [table] + dec),
+        ("decoder_dropout", lambda: decoder_loss(dec_keep), [table] + dec),
         # one leaf as both h0 and c0: two gradients for it from one record
-        ("decoder_shared_init", lambda: decoder_loss(None, shared_init=True), dec[:2] + dec[3:]),
+        ("decoder_shared_init", lambda: decoder_loss(None, shared_init=True), [table] + dec[:1] + dec[2:]),
     ]
 
 
@@ -335,9 +345,17 @@ def test_encoder_rejects_mismatched_shapes():
 
 
 def test_decoder_rejects_mismatched_shapes():
-    emb, h0, c0, vectors, *weights = decoder_inputs(derive_rng(23, "decoder-shapes"), 2, 3, 4, 3, 3)
-    with pytest.raises(ShapeError, match="decoder"):
-        ad.decoder(emb, h0, c0, vectors, np.ones((3, 5), dtype=bool), *weights)
+    table, ids, (h0, c0, vectors, *weights) = decoder_inputs(derive_rng(23, "decoder-shapes"), 2, 3, 4, 3, 3)
+    mask = np.ones((3, 4), dtype=bool)
+    ad.decoder(table, ids, np.ones((2, 3, 6)), h0, c0, vectors, mask, *weights)
+    for bad in (
+        (table, ids, None, h0, c0, vectors, np.ones((3, 5), dtype=bool), *weights),  # mask
+        (table, ids[:5], None, h0, c0, vectors, mask, *weights),  # ids for 5 of 6 rows
+        (table, ids, np.ones((2, 3, 3)), h0, c0, vectors, mask, *weights),  # keep for the embeddings only
+        (ad.Tensor(np.zeros((5, 2))), ids, None, h0, c0, vectors, mask, *weights),  # table width
+    ):
+        with pytest.raises(ShapeError, match="decoder"):
+            ad.decoder(*bad)
 
 
 def test_grad_check_constant_function_is_exact():
@@ -350,14 +368,15 @@ def test_deterministic_forward_bit_identical():
     def once():
         rng = derive_rng(21, "determinism")
         tables, ids, enc_weights = encoder_inputs(rng, 3, 2, (2, 1), 3)
-        emb, _, _, _, *dec_weights = decoder_inputs(rng, 2, 2, 3, 3, 3)
+        table, tgt_ids, (_, _, _, *dec_weights) = decoder_inputs(rng, 2, 2, 3, 3, 3)
         mask = np.array([[True, True, True], [True, True, False]])
         keep = ad.make_dropout_mask((6, 3), 0.3, rng)
+        dec_keep = ad.make_dropout_mask((2, 2, 6), 0.3, rng)
         with ad.Tape() as tape:
             ann, h0, c0 = ad.encoder(tables, ids, mask, keep, *enc_weights)
-            loss = total(ad.decoder(emb, h0, c0, ann, mask, *dec_weights))
+            loss = total(ad.decoder(table, tgt_ids, dec_keep, h0, c0, ann, mask, *dec_weights))
         ad.backward(loss, tape)
-        return loss.item(), [t.grad.copy() for t in tables + enc_weights + [emb] + dec_weights]
+        return loss.item(), [t.grad.copy() for t in tables + enc_weights + [table] + dec_weights]
 
     l1, g1 = once()
     l2, g2 = once()

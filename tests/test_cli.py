@@ -328,6 +328,28 @@ def test_truncated_checkpoint_is_data_error(end, trained_dir, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (struct.pack("<Q", 2**40) + b"{}", "truncated checkpoint header"),
+        (struct.pack("<Q", 200000) + b"[" * 200000, "invalid checkpoint manifest"),
+    ],
+    ids=["manifest-length-past-end", "deeply-nested-manifest"],
+)
+def test_corrupt_checkpoint_header_is_data_error(header, message, trained_dir, tmp_path, capsys):
+    model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
+    bad = tmp_path / "bad.rnmt"
+    bad.write_bytes(model.read_bytes()[:8] + header)
+    inp = tmp_path / "in.txt"
+    inp.write_text("鉄の実験。\n", encoding="utf-8")
+    code = dispatch([
+        "translate", "--model", str(bad), "--input", str(inp), "--output", str(tmp_path / "out.txt"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def _first_tensor(manifest, **changes):
     return dict(manifest, tensors=[dict(manifest["tensors"][0], **changes)] + manifest["tensors"][1:])
 
@@ -434,6 +456,25 @@ def test_non_finite_or_non_positive_rate_or_clip_is_usage_error(setting, tmp_pat
     assert code == 1
     assert expected.get(key, f"{key} must be") in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_model_too_large_for_memory_is_data_error(tmp_path, capsys):
+    # enc_fwd_Wx alone would take 512 x 4e10 floats (149 TiB), more than a
+    # 47-bit address space holds, so the request fails at once under any overcommit setting
+    src, tgt = radnmt.toy_corpus_paths()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hidden=10000000000\n", encoding="utf-8")
+    code = dispatch([
+        "train", "--config", str(cfg),
+        "--train-src", str(src), "--train-tgt", str(tgt),
+        "--dev-src", str(src), "--dev-tgt", str(tgt),
+        "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "out of memory" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 

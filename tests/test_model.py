@@ -19,7 +19,7 @@ from radnmt.model import (
 )
 from radnmt.seeding import derive_rng
 
-from conftest import replay_score, tiny_batch, tiny_config
+from conftest import replay_score, replay_train_loss, tiny_batch, tiny_config
 
 
 def test_config_validation():
@@ -128,13 +128,13 @@ def test_lstm_grad_check():
 
 @pytest.mark.parametrize("feature_path", [True, False])
 def test_forward_loss_tape_records(feature_path):
-    # encoder, target embedding, decoder, output matmul and add, masked_nll; dropout adds one
+    # encoder, decoder, output_nll, with or without dropout
     config = tiny_config() if feature_path else tiny_config(feat_embed_dim=0)
     params = ModelParams.initialize(config, seed=6, feature_path=feature_path)
-    for train, expected in ((False, 6), (True, 7)):
+    for train in (False, True):
         with ad.Tape() as tape:
             forward_loss(tiny_batch(9), params, train=train, dropout=0.3, rng=derive_rng(0, "d"))
-        assert len(tape) == expected
+        assert len(tape) == 3
 
 
 def test_forget_gate_bias_initialized_to_one():
@@ -282,7 +282,7 @@ def test_forward_loss_batch_equals_sum_of_singles():
 
 
 def test_forward_loss_equals_per_step_replay():
-    # one projection and one masked_nll over all steps of a ragged batch,
+    # one output_nll over all steps of a ragged batch,
     # against decode_step's logits scored one sentence and one step at a time
     params = ModelParams.initialize(tiny_config(), seed=12, init_low=-0.5, init_high=0.5)
     rng = derive_rng(13, "ragged")
@@ -346,6 +346,20 @@ def test_train_mode_dropout_is_seeded(table):
     assert a.item() != c.item()
 
 
+@pytest.mark.parametrize("feature_path", [True, False])
+def test_train_mode_forward_loss_equals_dropout_replay(feature_path):
+    # the masks of a copy of the rng, drawn in the documented order and
+    # applied one step at a time, give the same loss at dropout 0.3
+    # p1 = 6 and q = 4, so mixing up the two masks of a step changes what is drawn
+    config = tiny_config(char_embed_dim=6, feat_embed_dim=2 if feature_path else 0)
+    params = ModelParams.initialize(config, seed=17, feature_path=feature_path, init_low=-0.5, init_high=0.5)
+    batch = tiny_batch(10, batch=3, src_len=4, tgt_chars=3)
+    batch.src_mask[1, 2:] = batch.tgt_mask[2, 3:] = False
+    loss, _ = forward_loss(batch, params, train=True, dropout=0.3, rng=derive_rng(2, "d"))
+    expected = replay_train_loss(params, batch, 0.3, derive_rng(2, "d"))
+    assert abs(loss.item() - expected) <= 1e-12 * abs(expected)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     params = ModelParams.initialize(tiny_config(), seed=15)
     batch = tiny_batch(8)
@@ -359,6 +373,26 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
     after, _ = forward_loss(batch, loaded)
     assert after.item() == before.item()
+
+
+def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.rnmt"
+    save_checkpoint(ModelParams.initialize(tiny_config(), seed=15), path)
+    before = path.read_bytes()
+    written = []
+
+    def fail_on_third_tensor(arr, dtype=None):
+        written.append(arr)
+        if len(written) == 3:
+            raise OSError("No space left on device")
+        return np.asarray(arr, dtype=dtype)
+
+    monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_tensor)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(ModelParams.initialize(tiny_config(), seed=16), path)
+    assert len(written) == 3  # the manifest and two tensors went out before the failure
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.rnmt"]
 
 
 def test_checkpoint_with_removed_config_fields_loads(tmp_path):
@@ -378,6 +412,20 @@ def test_checkpoint_with_removed_config_fields_loads(tmp_path):
     assert loaded.config == params.config
     for (name, a), (_, b) in zip(params.named(), loaded.named()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_checkpoint_shape_past_payload_is_data_error(tmp_path):
+    # 2**62 * 4 elements wrap to 0 in int64 arithmetic
+    path = tmp_path / "model.rnmt"
+    save_checkpoint(ModelParams.initialize(tiny_config(), seed=16), path)
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16 : 16 + manifest_len])
+    manifest["tensors"][0]["shape"] = [2**62, 4]
+    edited = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(edited)) + edited + raw[16 + manifest_len :])
+    with pytest.raises(DataError, match="payload ends inside src_char_emb"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
