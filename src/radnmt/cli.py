@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .corpus import Batch, Vocab, build_vocab, encode_corpus, read_parallel
+from .corpus import FEATURE_VOCAB_SIZE, Batch, Vocab, build_vocab, encode_corpus, read_parallel
 from .errors import DataError, NumericError, RadnmtError, UsageError, read_lines
 from .evaluation import TOKENIZATIONS, evaluate
 from .decoding import DEFAULT_UNK_TOKEN, translate_file
@@ -32,24 +32,16 @@ from .radicals import annotate_file, bundled_table_paths, load_radical_table
 from .seeding import derive_rng
 from .training import TrainConfig, train
 
-# key -> (type, default); defaults follow the full-scale configuration
+# CLI key -> the ModelConfig/TrainConfig field that holds its default, type and range check
+_MODEL_KEYS = {"hidden": "hidden_size", "char_embed": "char_embed_dim", "feat_embed": "feat_embed_dim"}
+_TRAIN_KEYS = {"dropout": "dropout", "lr": "lr", "lr_decay": "lr_decay", "decay_mode": "decay_mode",
+               "clip": "max_norm", "batch": "batch_size", "epochs": "epochs", "eval_every": "eval_every",
+               "seed": "seed"}
+# key -> (type, default); min_count, max_size (0 = unlimited) and max_src_len set no dataclass field
 CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    "hidden": (int, 512),
-    "char_embed": (int, 448),
-    "feat_embed": (int, 64),
-    "dropout": (float, 0.8),
-    "lr": (float, 1.0),
-    "lr_decay": (float, 0.5),
-    "decay_mode": (str, "plateau"),
-    "clip": (float, 1.0),
-    "batch": (int, 10),
-    "epochs": (int, 30),
-    "min_count": (int, 1),
-    "max_size": (int, 0),  # 0 = unlimited
-    "max_src_len": (int, 400),
-    "eval_every": (int, 1),
-    "seed": (int, 0),
-}
+    key: (type(getattr(cls, name)), getattr(cls, name))
+    for keys, cls in ((_MODEL_KEYS, ModelConfig), (_TRAIN_KEYS, TrainConfig)) for key, name in keys.items()
+} | {"min_count": (int, 1), "max_size": (int, 0), "max_src_len": (int, 400)}
 
 PROFILES = {
     "paper": {},
@@ -94,15 +86,19 @@ def resolve_config(file_values: dict | None, flag_values: dict, profile: str | N
 
 
 def _resolve_seed(args, cfg: dict) -> int:
+    """--seed, else RADNMT_SEED, else the config's seed; derive_rng reads only its low 32 bits."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("RADNMT_SEED")
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    elif (env := os.environ.get("RADNMT_SEED")) is not None:
         try:
-            return int(env)
+            seed, source = int(env), "RADNMT_SEED"
         except ValueError:
             raise UsageError(f"RADNMT_SEED must be an integer, got {env!r}")
-    return int(cfg.get("seed", 0))
+    else:
+        seed, source = int(cfg.get("seed", 0)), "seed"
+    if not 0 <= seed < 2**32:
+        raise UsageError(f"{source} must be in 0..{2**32 - 1}, got {seed}")
+    return seed
 
 
 def _digest(path) -> str:
@@ -189,14 +185,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--dev-src", required=True)
     p.add_argument("--dev-tgt", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--char-embed", type=int, default=None, dest="char_embed")
-    p.add_argument("--feat-embed", type=int, default=None, dest="feat_embed")
+    for key in ("seed", "epochs", "batch", "dropout", "lr", "hidden", "char_embed", "feat_embed"):
+        p.add_argument("--" + key.replace("_", "-"), type=CONFIG_SCHEMA[key][0], default=None)
     p.add_argument("--no-features", action="store_true", help="train the no-feature baseline")
 
     p = sub.add_parser("translate", help="beam-translate a file")
@@ -251,33 +241,14 @@ def _cmd_build_vocab(args) -> int:
 
 def _cmd_train(args) -> int:
     file_values = load_config(args.config) if args.config else None
-    flags = {
-        "epochs": args.epochs,
-        "batch": args.batch,
-        "dropout": args.dropout,
-        "lr": args.lr,
-        "hidden": args.hidden,
-        "char_embed": args.char_embed,
-        "feat_embed": args.feat_embed,
-        "seed": args.seed,
-    }
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_SCHEMA}
     cfg = resolve_config(file_values, flags, args.profile)
     seed = _resolve_seed(args, cfg)
     if cfg["max_src_len"] < 1:
         raise UsageError(f"max_src_len must be >= 1, got {cfg['max_src_len']}")
     out_dir = Path(args.out)
-    tconfig = TrainConfig(
-        lr=cfg["lr"],
-        lr_decay=cfg["lr_decay"],
-        decay_mode=cfg["decay_mode"],
-        max_norm=cfg["clip"],
-        batch_size=cfg["batch"],
-        dropout=cfg["dropout"],
-        epochs=cfg["epochs"],
-        seed=seed,
-        checkpoint_dir=str(out_dir / "checkpoints"),
-        eval_every=cfg["eval_every"],
-    )
+    tconfig = TrainConfig(**{name: cfg[key] for key, name in _TRAIN_KEYS.items()}
+                          | {"seed": seed, "checkpoint_dir": str(out_dir / "checkpoints")})
     table = load_radical_table(args.han_table, args.kana_table)
     train_pairs = read_parallel(args.train_src, args.train_tgt)
     dev_pairs = read_parallel(args.dev_src, args.dev_tgt)
@@ -286,15 +257,11 @@ def _cmd_train(args) -> int:
                     max_size=cfg["max_size"])
         for side in (0, 1)
     )
-    feat_dim = 0 if args.no_features else cfg["feat_embed"]
-    mconfig = ModelConfig(
-        src_vocab_size=len(src_vocab),
-        tgt_vocab_size=len(tgt_vocab),
-        char_embed_dim=cfg["char_embed"],
-        feat_embed_dim=feat_dim,
-        hidden_size=cfg["hidden"],
-        dropout=cfg["dropout"],
-    )
+    model_values = {name: cfg[key] for key, name in _MODEL_KEYS.items()}
+    if args.no_features:
+        model_values["feat_embed_dim"] = 0
+    mconfig = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
+                          dropout=cfg["dropout"], **model_values)
     params = ModelParams.initialize(mconfig, seed, feature_path=not args.no_features)
     # --out is made only once every input and setting has been accepted and the model fits in memory
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,11 +290,20 @@ def _load_model_and_vocabs(model_path):
     for base in candidates:
         src_path, tgt_path = _vocab_dir_paths(base)
         if src_path.exists() and tgt_path.exists():
-            return params, Vocab.load(src_path), Vocab.load(tgt_path)
-    raise DataError(
-        f"could not find src_vocab.tsv/tgt_vocab.tsv next to {model_path} "
-        f"(looked in {', '.join(str(c) for c in candidates)})"
-    )
+            break
+    else:
+        raise DataError(
+            f"could not find src_vocab.tsv/tgt_vocab.tsv next to {model_path} "
+            f"(looked in {', '.join(str(c) for c in candidates)})"
+        )
+    src_vocab, tgt_vocab = Vocab.load(src_path), Vocab.load(tgt_path)
+    sizes = [(src_path, len(src_vocab), "src_vocab_size"), (tgt_path, len(tgt_vocab), "tgt_vocab_size")]
+    if params.feature_path:
+        sizes.append(("the radical feature table", FEATURE_VOCAB_SIZE, "feat_vocab_size"))
+    for what, rows, name in sizes:
+        if rows != (expected := getattr(params.config, name)):
+            raise DataError(f"{what} has {rows} entries, but {model_path} has {name} {expected}")
+    return params, src_vocab, tgt_vocab
 
 
 def _cmd_translate(args) -> int:
@@ -367,7 +343,7 @@ def _cmd_gradcheck(args) -> int:
     seed = _resolve_seed(args, {})
     config = ModelConfig(
         src_vocab_size=8, tgt_vocab_size=8, char_embed_dim=4, feat_embed_dim=2,
-        hidden_size=4, feat_vocab_size=8, dropout=0.0,
+        hidden_size=4, feat_vocab_size=8,
     )
     params = ModelParams.initialize(config, seed)
     rng = derive_rng(seed, "gradcheck-data")

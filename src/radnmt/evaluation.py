@@ -101,7 +101,6 @@ def evaluate(
     tokenization: str = "char",
     beam_size: int = 5,
     max_len: int | None = None,
-    batch_size: int = 10,
     smoothing: bool = False,
 ) -> dict:
     """Teacher-forced perplexity plus beam-translation BLEU, with reports.
@@ -114,7 +113,7 @@ def evaluate(
     if not pairs:
         raise DataError("evaluation set is empty")
     examples = encode_corpus(pairs, src_vocab, tgt_vocab, table, max_chars=None)
-    ppl = perplexity(params, examples, batch_size)
+    ppl = perplexity(params, examples)
 
     hypotheses = translate_lines(
         params, table, src_vocab, tgt_vocab, [src for src, _ in pairs], beam_size, max_len,

@@ -60,7 +60,7 @@ class ModelConfig:
     feat_embed_dim: int = 64  # p2; 0 disables the radical path
     hidden_size: int = 512  # q
     feat_vocab_size: int = FEATURE_VOCAB_SIZE
-    dropout: float = 0.8
+    dropout: float = 0.8  # recorded in checkpoints only; training passes TrainConfig.dropout to forward_loss
 
     def __post_init__(self):
         if self.char_embed_dim < 1:
@@ -227,18 +227,19 @@ def forward_loss(
     batch: Batch,
     params: ModelParams,
     train: bool = False,
-    dropout: float | None = None,
+    dropout: float = 0.0,
     rng=None,
 ) -> tuple[Tensor, int]:
     """Teacher-forced NLL summed over real target positions.
 
     BOS is never predicted; EOS is. The encoder, the decoder over every
     step and the output loss over every step's h~ are one record each.
-    Under dropout, rng draws the encoder's mask first, then per step t
-    the (B, p1) mask of its embeddings and the (B, q) mask of its h~.
+    With train and dropout > 0, rng draws the encoder's mask first, then
+    per step t the (B, p1) mask of its embeddings and the (B, q) mask of
+    its h~.
     Returns (total NLL, token count).
     """
-    drop_p = (params.config.dropout if dropout is None else dropout) if train else 0.0
+    drop_p = dropout if train else 0.0
     ann, h0, c0 = encode(batch.src, batch.feats, batch.src_mask, params, drop_p, rng)
     keep = None
     if drop_p > 0.0:

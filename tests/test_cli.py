@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radnmt
-from radnmt.cli import CONFIG_SCHEMA, dispatch, load_config, resolve_config
+from radnmt.cli import _MODEL_KEYS, _TRAIN_KEYS, CONFIG_SCHEMA, dispatch, load_config, resolve_config
 from radnmt.errors import UsageError
+from radnmt.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
+from radnmt.training import TrainConfig
 
 
 def run(args):
@@ -116,6 +119,19 @@ def test_empty_config_gives_full_scale_defaults(tmp_path):
     assert merged["lr"] == 1.0
     assert merged["clip"] == 1.0
     assert merged["dropout"] == 0.8
+
+
+def test_empty_config_maps_onto_the_dataclass_defaults(tmp_path):
+    # the schema's defaults and types are ModelConfig's and TrainConfig's own
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("", encoding="utf-8")
+    merged = resolve_config(load_config(cfg), {}, None)
+    assert TrainConfig(**{name: merged[key] for key, name in _TRAIN_KEYS.items()}) == TrainConfig()
+    model_values = {name: merged[key] for key, name in _MODEL_KEYS.items()}
+    assert ModelConfig(5, 5, dropout=merged["dropout"], **model_values) == ModelConfig(5, 5)
+    for key in (*_MODEL_KEYS, *_TRAIN_KEYS):
+        assert CONFIG_SCHEMA[key][0] is type(merged[key])
+    assert set(CONFIG_SCHEMA) - {*_MODEL_KEYS, *_TRAIN_KEYS} == {"min_count", "max_size", "max_src_len"}
 
 
 def test_config_file_overrides_defaults(tmp_path):
@@ -350,6 +366,36 @@ def test_corrupt_checkpoint_header_is_data_error(header, message, trained_dir, t
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["translate", "eval"])
+@pytest.mark.parametrize("mismatch", ["src_vocab", "tgt_vocab", "feat_vocab"])
+def test_vocabulary_that_does_not_fit_the_checkpoint_is_data_error(
+    mismatch, command, trained_dir, tmp_path, capsys
+):
+    params = load_checkpoint(sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1])
+    if mismatch == "feat_vocab":
+        params = ModelParams.initialize(replace(params.config, feat_vocab_size=8), seed=0)
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    save_checkpoint(params, model_dir / "model.rnmt")
+    for name in ("src_vocab", "tgt_vocab"):
+        lines = (trained_dir / f"{name}.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = lines[:-2] if name == mismatch else lines
+        (model_dir / f"{name}.tsv").write_text("".join(kept), encoding="utf-8")
+    inp, out = tmp_path / "in.txt", tmp_path / "out"
+    inp.write_text("鉄の実験。\n", encoding="utf-8")
+    src, tgt = radnmt.toy_corpus_paths()
+    files = (["--input", str(inp), "--output", str(out)] if command == "translate"
+             else ["--src", str(src), "--ref", str(tgt), "--out", str(out)])
+    code = dispatch([command, "--model", str(model_dir / "model.rnmt"), *files])
+    err = capsys.readouterr().err
+    size = getattr(params.config, f"{mismatch}_size")
+    rows = 215 if mismatch == "feat_vocab" else size - 2
+    assert code == 2
+    assert f"has {rows} entries" in err and f"{mismatch}_size {size}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _first_tensor(manifest, **changes):
     return dict(manifest, tensors=[dict(manifest["tensors"][0], **changes)] + manifest["tensors"][1:])
 
@@ -516,6 +562,40 @@ def test_train_seed_env_fallback(tmp_path, monkeypatch):
     assert code == 0
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 5
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32])
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_seed_outside_32_bits_is_usage_error(source, seed, tmp_path, monkeypatch, capsys):
+    # derive_rng keeps the low 32 bits, so a wider seed would alias another
+    src, tgt = radnmt.toy_corpus_paths()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed={seed}\n" if source == "config" else "", encoding="utf-8")
+    if source == "env":
+        monkeypatch.setenv("RADNMT_SEED", str(seed))
+    else:
+        monkeypatch.delenv("RADNMT_SEED", raising=False)
+    code = dispatch([
+        "train", "--config", str(cfg),
+        "--train-src", str(src), "--train-tgt", str(tgt),
+        "--dev-src", str(src), "--dev-tgt", str(tgt),
+        "--out", str(tmp_path / "o"),
+        "--hidden", "8", "--char-embed", "6", "--feat-embed", "2", "--epochs", "1",
+        *(["--seed", str(seed)] if source == "flag" else []),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"must be in 0..4294967295, got {seed}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_gradcheck_seed_range_ends_at_32_bits(monkeypatch, capsys):
+    # the largest seed runs the check (whatever error it reads); one more is rejected
+    monkeypatch.delenv("RADNMT_SEED", raising=False)
+    dispatch(["gradcheck", "--seed", str(2**32 - 1)])
+    assert "max relative error" in capsys.readouterr().out
+    assert dispatch(["gradcheck", "--seed", str(2**32)]) == 1
+    assert "--seed must be in 0..4294967295" in capsys.readouterr().err
 
 
 def test_train_line_count_mismatch_is_data_error(tmp_path, capsys):

@@ -346,6 +346,23 @@ def test_train_mode_dropout_is_seeded(table):
     assert a.item() != c.item()
 
 
+def test_train_mode_without_dropout_equals_eval_mode():
+    # the rate comes from the caller only; ModelConfig.dropout is never read
+    params = ModelParams.initialize(tiny_config(dropout=0.3), seed=15)
+    batch = tiny_batch(8)
+    with ad.Tape() as tape:
+        trained, _ = forward_loss(batch, params, train=True)
+    ad.backward(trained, tape)
+    trained_grads = [g.copy() for g in params.grads()]
+    params.zero_grads()
+    with ad.Tape() as tape:
+        evaluated, _ = forward_loss(batch, params, train=False)
+    ad.backward(evaluated, tape)
+    assert trained.data.tobytes() == evaluated.data.tobytes()
+    for got, want in zip(trained_grads, params.grads(), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("feature_path", [True, False])
 def test_train_mode_forward_loss_equals_dropout_replay(feature_path):
     # the masks of a copy of the rng, drawn in the documented order and
