@@ -357,7 +357,7 @@ def _cmd_gradcheck(args) -> int:
         total, count = forward_loss(batch, params, train=False)
         return ad.mul(total, ad.Tensor(np.asarray(1.0 / count)))
 
-    err = ad.grad_check(loss, params.all(), eps=2e-3)
+    err = ad.grad_check(loss, params.all(), eps=2e-3, tolerance=args.tolerance)
     ok = err <= args.tolerance
     print(f"max relative error: {err:.3e} ({'PASS' if ok else 'FAIL'} at {args.tolerance:g})")
     return 0 if ok else 3

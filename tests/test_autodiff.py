@@ -41,6 +41,13 @@ def weighted_sum(xs, weights):
     return ad._emit("weighted_sum", np.array([[value]]), tuple(xs), vjp)
 
 
+def exp_sum(x, k, fault=0.0):
+    """sum(exp(k x)) as a (1, 1) tensor, built like weighted_sum; its VJP is off by the relative fault."""
+    value = np.exp(k * x.data)
+    vjp = lambda g: (g[0, 0] * k * value * (1.0 + fault),)
+    return ad._emit("exp_sum", np.array([[value.sum()]]), (x,), vjp)
+
+
 def decoder_inputs(rng, steps, batch, src_len, p1, q, vocab=5):
     """A table, its time-major ids, then h0, c0, vectors and the five weights of
     ad.decoder, all trainable. Halving every value keeps the gates out of
@@ -362,6 +369,21 @@ def test_grad_check_constant_function_is_exact():
     w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     const = ad.Tensor(np.zeros((1, 1)))
     assert ad.grad_check(lambda: ad.mul(const, const), [w]) == 0.0
+
+
+def test_grad_check_extrapolates_a_correct_gradient_past_a_coarse_step():
+    # at eps 1e-2 the central difference of exp(5x) is off by about eps^2 * 25 / 6, over 1e-4;
+    # the re-check at eps/2 cancels that term, and an infinite tolerance skips it
+    x = ad.Tensor(0.3 * derive_rng(26, "richardson").normal(size=(2, 3)), requires_grad=True)
+    assert ad.grad_check(lambda: exp_sum(x, 5.0), [x], eps=1e-2, tolerance=np.inf) > 1e-4
+    assert ad.grad_check(lambda: exp_sum(x, 5.0), [x], eps=1e-2) <= 1e-5
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-2])
+def test_grad_check_fails_a_vjp_off_by_1e_3(eps):
+    x = ad.Tensor(0.3 * derive_rng(27, "vjp-fault").normal(size=(2, 3)), requires_grad=True)
+    err = ad.grad_check(lambda: exp_sum(x, 5.0, fault=1e-3), [x], eps=eps)
+    assert 5e-4 < err < 2e-3
 
 
 def test_deterministic_forward_bit_identical():

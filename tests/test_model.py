@@ -184,6 +184,30 @@ def test_encode_padding_invariance():
         np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
 
+@pytest.mark.parametrize("feature_path", [True, False])
+def test_encode_mirrored_sentences_swap_the_directions(feature_path):
+    # reversing each sentence's real prefix and swapping the directions' weights
+    # swaps the annotation halves, mirrored per sentence, bit for bit
+    config = tiny_config() if feature_path else tiny_config(feat_embed_dim=0)
+    params = ModelParams.initialize(config, seed=7, feature_path=feature_path)
+    swap = {"enc_fwd_": "enc_bwd_", "enc_bwd_": "enc_fwd_"}
+    swapped = ModelParams(config, {swap.get(name[:8], name[:8]) + name[8:]: t for name, t in params.named()},
+                          feature_path)
+    rng = derive_rng(7, "mirror")
+    lengths, q = [6, 4, 1], config.hidden_size
+    mask = np.arange(6) < np.array(lengths)[:, None]
+    src = np.where(mask, rng.integers(4, 8, size=mask.shape), 0)
+    feats = np.where(mask, rng.integers(1, 8, size=mask.shape), 0)
+    mirror_src, mirror_feats = src.copy(), feats.copy()
+    for b, n in enumerate(lengths):
+        mirror_src[b, :n], mirror_feats[b, :n] = src[b, n - 1 :: -1], feats[b, n - 1 :: -1]
+    ann = encode(src, feats, mask, params)[0].data
+    mirrored = encode(mirror_src, mirror_feats, mask, swapped)[0].data
+    for b, n in enumerate(lengths):
+        np.testing.assert_array_equal(mirrored[b, :n, :q], ann[b, n - 1 :: -1, q:])
+        np.testing.assert_array_equal(mirrored[b, :n, q:], ann[b, n - 1 :: -1, :q])
+
+
 def attention(params, vectors, mask, seed):
     """Context and weights of one ad.decoder_step from a random state; q = 4."""
     rng = derive_rng(seed, "attn-state")
