@@ -35,8 +35,8 @@ from .training import TrainConfig, train
 # CLI key -> the ModelConfig/TrainConfig field that holds its default, type and range check
 _MODEL_KEYS = {"hidden": "hidden_size", "char_embed": "char_embed_dim", "feat_embed": "feat_embed_dim"}
 _TRAIN_KEYS = {"dropout": "dropout", "lr": "lr", "lr_decay": "lr_decay", "decay_mode": "decay_mode",
-               "clip": "max_norm", "batch": "batch_size", "epochs": "epochs", "eval_every": "eval_every",
-               "seed": "seed"}
+               "decay_start": "decay_start_epoch", "clip": "max_norm", "batch": "batch_size", "epochs": "epochs",
+               "eval_every": "eval_every", "seed": "seed"}
 # key -> (type, default); min_count, max_size (0 = unlimited) and max_src_len set no dataclass field
 CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     key: (type(getattr(cls, name)), getattr(cls, name))

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import log_softmax
+from .autodiff import _attention_bias, log_softmax
 from .corpus import BOS, EOS, PAD, Vocab, encode_pair, pad_rows
 from .errors import DataError, RadnmtError, read_lines
 from .model import ModelParams, decode_step, encode
@@ -104,6 +104,7 @@ def beam_search_many(
     src, mask = pad_rows(srcs)
     feats = None if any(f is None for _, f in sources) else pad_rows([f for _, f in sources])[0]
     vectors, h, c = (t.data for t in encode(src, feats, mask, params))
+    bias = _attention_bias(mask)  # checked once per grid
     limit = np.array([default_max_len(len(ids)) if max_len is None else max_len for ids in srcs])
     sent = np.arange(len(srcs))  # grid sentence -> index into sources
     tokens = np.full((len(srcs), 1), BOS, dtype=np.int64)  # the BOS column is dropped on output
@@ -111,7 +112,7 @@ def beam_search_many(
     completed: list[list[Hypothesis]] = [[] for _ in srcs]
     vocab = params.config.tgt_vocab_size
     for step in itertools.count(1):
-        logits, (h, c), h_tilde = decode_step(tokens[:, -1], h_tilde, (h, c), vectors, mask, params)
+        logits, (h, c), h_tilde = decode_step(tokens[:, -1], h_tilde, (h, c), vectors, bias, params)
         scores = logprob[:, None] + log_softmax(logits)
         scores[:, [PAD, BOS]] = -np.inf
         s, flat = _top_k(scores.reshape(len(sent), width * vocab), beam_size)
@@ -146,7 +147,7 @@ def beam_search_many(
         tokens[slot] = live_tokens
         h, c, h_tilde = h[parent], c[parent], h_tilde[parent]
         if retire.any():
-            sent, vectors, mask = sent[stay], vectors[stay], mask[stay]
+            sent, vectors, bias = sent[stay], vectors[stay], bias[stay]
     return [
         sorted(pool, key=lambda hyp: (-hyp.logprob / len(hyp.tokens) ** length_alpha, hyp.tokens))
         for pool in completed

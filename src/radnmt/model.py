@@ -207,17 +207,18 @@ def decode_step(
     h_tilde_prev: np.ndarray,
     state: tuple[np.ndarray, np.ndarray],
     vectors: np.ndarray,
-    mask: np.ndarray,
+    bias: np.ndarray,
     params: ModelParams,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """One untaped decoder step, as decoding runs it; returns (logits, (h, c), h~).
 
     y_prev, h_tilde_prev and state hold one row per hypothesis; the
-    annotation arrays (S, L, 2q) and mask (S, L) hold S sentences, each
-    read by its own consecutive group of len(y_prev) // S rows.
+    annotation arrays (S, L, 2q) and the attention bias (S, L), made once
+    from their mask by ad._attention_bias, hold S sentences, each read by
+    its own consecutive group of len(y_prev) // S rows.
     """
     (h, c, h_tilde), _ = ad.decoder_step(
-        params["tgt_char_emb"].data[y_prev], h_tilde_prev, *state, vectors, mask,
+        params["tgt_char_emb"].data[y_prev], h_tilde_prev, *state, vectors, bias,
         *(params[name].data for name in _DECODER_WEIGHTS),
     )
     return ad.project(h_tilde, params["out_W"].data, params["out_b"].data), (h, c), h_tilde
@@ -297,6 +298,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The parameters save_checkpoint wrote to path, as views of one float64 buffer read in one call."""
     with Path(path).open("rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -313,17 +315,16 @@ def load_checkpoint(path) -> ModelParams:
             raise DataError(f"{path}: truncated checkpoint header ({exc})") from exc
         except RecursionError as exc:
             raise DataError(f"{path}: invalid checkpoint manifest (nested too deeply)") from exc
-        payload = f.read()
-    config, feature_path, entries = _check_manifest(manifest, path)
+        config, feature_path, entries, size = _check_manifest(
+            manifest, path, os.fstat(f.fileno()).st_size - f.tell()
+        )
+        payload = np.empty(size // 8, dtype="<f8")
+        if f.readinto(payload) != size:  # the file shrank since fstat
+            raise DataError(f"{path}: truncated checkpoint (payload ends early)")
     tensors = {}
     for entry in entries:
-        shape = tuple(entry["shape"])
-        size = math.prod(shape)  # Python ints: a huge shape cannot wrap round to a small size
-        start = entry["offset"]
-        if start + 8 * size > len(payload):
-            raise DataError(f"{path}: truncated checkpoint (payload ends inside {entry['name']})")
-        arr = np.frombuffer(payload, dtype="<f8", count=size, offset=start)
-        t = Tensor(arr.reshape(shape).copy(), requires_grad=True)
+        start, shape = entry["offset"] // 8, tuple(entry["shape"])
+        t = Tensor(payload[start : start + math.prod(shape)].reshape(shape), requires_grad=True)
         t.name = entry["name"]
         tensors[entry["name"]] = t
     try:
@@ -332,10 +333,12 @@ def load_checkpoint(path) -> ModelParams:
         raise DataError(f"{path}: checkpoint tensors do not fit its config ({exc})") from exc
 
 
-def _check_manifest(manifest, path) -> tuple[ModelConfig, bool, list[dict]]:
-    """The config, feature flag and tensor directory of a checkpoint manifest.
+def _check_manifest(manifest, path, payload_bytes: int) -> tuple[ModelConfig, bool, list[dict], int]:
+    """The config, feature flag, tensor directory and payload size of a checkpoint manifest.
 
-    Anything but the layout save_checkpoint writes raises DataError.
+    Anything but the layout save_checkpoint writes raises DataError: each
+    tensor starts where the one before it ends, so none overlap, and the
+    payload_bytes left in the file must hold them all.
     """
 
     def bad(what: str) -> DataError:
@@ -365,6 +368,7 @@ def _check_manifest(manifest, path) -> tuple[ModelConfig, bool, list[dict]]:
         raise bad("feature_path is not true or false")
     if not isinstance(entries, list):
         raise bad("tensors is not a list")
+    end = 0
     for entry in entries:
         if not (
             isinstance(entry, dict) and set(entry) == {"name", "shape", "offset"}
@@ -372,4 +376,9 @@ def _check_manifest(manifest, path) -> tuple[ModelConfig, bool, list[dict]]:
             and isinstance(entry["shape"], list) and all(count(n) for n in entry["shape"])
         ):
             raise bad(f"bad tensor entry {entry!r}")
-    return config, manifest["feature_path"], entries
+        if entry["offset"] != end:
+            raise bad(f"{entry['name']} at offset {entry['offset']}, not {end} where the one before ends")
+        end += 8 * math.prod(entry["shape"])  # Python ints: a huge shape cannot wrap round to a small size
+        if end > payload_bytes:
+            raise DataError(f"{path}: truncated checkpoint (payload ends inside {entry['name']})")
+    return config, manifest["feature_path"], entries, end

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ConfigError("lr_decay must be in (0, 1]")
         if self.decay_mode not in DECAY_MODES:
             raise ConfigError(f"decay_mode must be one of {DECAY_MODES}")
+        if self.decay_start_epoch < 1:
+            raise ConfigError(f"decay_start_epoch must be >= 1, got {self.decay_start_epoch}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.batch_size < 1:

@@ -77,10 +77,10 @@ def replay_score(params, src, feats, tokens) -> float:
     mask = np.ones((1, len(src)), dtype=bool)
     batch_feats = None if feats is None else feats[None, :]
     vectors, *state = (t.data for t in encode(src[None, :], batch_feats, mask, params))
-    ht = np.zeros((1, params.config.hidden_size))
+    ht, bias = np.zeros((1, params.config.hidden_size)), ad._attention_bias(mask)
     prev, total = BOS, 0.0
     for tok in tokens:
-        logits, state, ht = decode_step(np.array([prev]), ht, state, vectors, mask, params)
+        logits, state, ht = decode_step(np.array([prev]), ht, state, vectors, bias, params)
         total += float(log_softmax(logits)[0][tok])
         prev = tok
     return total
@@ -107,10 +107,11 @@ def replay_train_loss(params, batch, drop_p: float, rng) -> float:
     vectors, h, c = (t.data for t in ad.encoder(tables, ids, batch.src_mask, enc_keep, *enc_weights))
     dec_weights = [params[n].data for n in ("dec_Wx", "dec_Wh", "dec_b", "attn_W", "attn_out_W")]
     p1, q = params.config.char_embed_dim, params.config.hidden_size
+    bias = ad._attention_bias(batch.src_mask)
     ht, total, rows = np.zeros((batch.size, q)), 0.0, np.arange(batch.size)
     for t in range(batch.tgt.shape[1] - 1):
         emb = params["tgt_char_emb"].data[batch.tgt[:, t]] * draw((batch.size, p1))
-        (h, c, ht), _ = ad.decoder_step(emb, ht, h, c, vectors, batch.src_mask, *dec_weights)
+        (h, c, ht), _ = ad.decoder_step(emb, ht, h, c, vectors, bias, *dec_weights)
         ht = ht * draw((batch.size, q))
         logp = log_softmax(ht @ params["out_W"].data + params["out_b"].data)
         total -= float((logp[rows, batch.tgt[:, t + 1]] * batch.tgt_mask[:, t + 1]).sum())
@@ -141,10 +142,10 @@ def greedy_decode(params, src, feats, max_len: int):
     mask = np.ones((1, len(src)), dtype=bool)
     batch_feats = None if feats is None else feats[None, :]
     vectors, *state = (t.data for t in encode(src[None, :], batch_feats, mask, params))
-    ht = np.zeros((1, params.config.hidden_size))
+    ht, bias = np.zeros((1, params.config.hidden_size)), ad._attention_bias(mask)
     prev, tokens, total = BOS, [], 0.0
     for _ in range(max_len):
-        logits, state, ht = decode_step(np.array([prev]), ht, state, vectors, mask, params)
+        logits, state, ht = decode_step(np.array([prev]), ht, state, vectors, bias, params)
         lp = log_softmax(logits)[0]
         lp[PAD] = lp[BOS] = -np.inf
         best = lp.max()

@@ -72,9 +72,24 @@ def test_matmul_identity():
 
 def test_tanh_sigmoid_at_zero():
     # zero gate pre-activations: sigmoid(0) = 1/2 on i, f, o and tanh(0) = 0 on g
-    acts, c, tanh_c, h = ad._cell(np.zeros((1, 4)), np.zeros((1, 1)), "cell")
+    acts = np.zeros((1, 4))
+    c, tanh_c, h = ad._cell(acts, np.zeros((1, 1)), "cell")
     assert acts.tolist() == [[0.5, 0.5, 0.5, 0.0]]
     assert c.tolist() == tanh_c.tolist() == h.tolist() == [[0.0]]
+
+
+def test_sigmoid_against_extended_precision():
+    # 0.5 * tanh(0.5 * z) + 0.5 against 1 / (1 + e^-z) in long double
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double has no more precision than double here")
+    z = np.linspace(-745.0, 745.0, 400_001)
+    exact = 1.0 / (1.0 + np.exp(-z.astype(np.longdouble)))
+    assert np.abs(ad._sigmoid(z) - exact).max() <= 1.2e-16
+    in_place = z.copy()
+    assert ad._sigmoid(in_place, out=in_place) is in_place
+    np.testing.assert_array_equal(in_place, ad._sigmoid(z))
+    with np.errstate(all="raise"):
+        assert ad._sigmoid(np.array([-1e308, 0.0, 1e308])).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_masked_nll_uniform_logits():

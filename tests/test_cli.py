@@ -410,9 +410,10 @@ def _first_tensor(manifest, **changes):
         lambda m: {k: v for k, v in m.items() if k != "tensors"},
         lambda m: _first_tensor(m, shape="16"),
         lambda m: _first_tensor(m, offset=-8),
+        lambda m: dict(m, tensors=m["tensors"][:1] + [dict(m["tensors"][1], offset=0)] + m["tensors"][2:]),
     ],
     ids=["empty-object", "list", "unknown-config-key", "config-not-object", "no-tensors",
-         "string-shape", "negative-offset"],
+         "string-shape", "negative-offset", "overlapping-offset"],
 )
 def test_bad_checkpoint_manifest_is_data_error(edit, trained_dir, tmp_path, capsys):
     model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
@@ -562,6 +563,31 @@ def test_train_seed_env_fallback(tmp_path, monkeypatch):
     assert code == 0
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 5
+
+
+@pytest.mark.parametrize("start, rates", [("2", [1.0, 1.0, 0.5]), (None, [1.0, 1.0, 1.0]), ("0", None)])
+def test_train_decay_start(start, rates, tmp_path, capsys):
+    # epoch mode halves the rate after each epoch from decay_start on (default 10); below 1 is a usage error
+    src, tgt = radnmt.toy_corpus_paths()
+    cfg = tmp_path / "run.cfg"
+    start_line = f"decay_start={start}\n" if start else ""
+    cfg.write_text("decay_mode=epoch\nlr=1.0\nlr_decay=0.5\n" + start_line, encoding="utf-8")
+    out = tmp_path / "run"
+    code = dispatch([
+        "train", "--config", str(cfg),
+        "--train-src", str(src), "--train-tgt", str(tgt),
+        "--dev-src", str(src), "--dev-tgt", str(tgt),
+        "--out", str(out),
+        "--hidden", "8", "--char-embed", "6", "--feat-embed", "2", "--epochs", "3", "--dropout", "0.0",
+    ])
+    if rates is None:
+        assert code == 1
+        assert "decay_start_epoch must be >= 1, got 0" in capsys.readouterr().err
+        return
+    assert code == 0
+    rows = (out / "train_report.tsv").read_text(encoding="utf-8").splitlines()
+    lr = rows[0].split("\t").index("lr")
+    assert [float(row.split("\t")[lr]) for row in rows[1:]] == rates
 
 
 @pytest.mark.parametrize("seed", [-1, 2**32])

@@ -6,6 +6,7 @@ import pytest
 
 import radnmt
 from radnmt import autodiff as ad
+from radnmt import decoding, training
 from radnmt.autodiff import Tensor
 from radnmt.corpus import BOS, EOS, Batch, ExamplePair, make_batches
 from radnmt.errors import ConfigError, ContractError, DataError
@@ -128,13 +129,23 @@ def test_lstm_grad_check():
 
 @pytest.mark.parametrize("feature_path", [True, False])
 def test_forward_loss_tape_records(feature_path):
-    # encoder, decoder, output_nll, with or without dropout
+    # encoder, decoder, output_nll, with or without dropout; untaped, or with nothing
+    # requiring a gradient, nothing is recorded and the loss is the same to the bit
     config = tiny_config() if feature_path else tiny_config(feat_embed_dim=0)
     params = ModelParams.initialize(config, seed=6, feature_path=feature_path)
     for train in (False, True):
         with ad.Tape() as tape:
-            forward_loss(tiny_batch(9), params, train=train, dropout=0.3, rng=derive_rng(0, "d"))
+            taped = forward_loss(tiny_batch(9), params, train=train, dropout=0.3, rng=derive_rng(0, "d"))[0]
         assert len(tape) == 3
+        untaped = forward_loss(tiny_batch(9), params, train=train, dropout=0.3, rng=derive_rng(0, "d"))[0]
+        for t in params.all():
+            t.requires_grad = False
+        with ad.Tape() as tape:
+            frozen = forward_loss(tiny_batch(9), params, train=train, dropout=0.3, rng=derive_rng(0, "d"))[0]
+        for t in params.all():
+            t.requires_grad = True
+        assert len(tape) == 0 and not untaped.requires_grad and not frozen.requires_grad
+        assert taped.data.tobytes() == untaped.data.tobytes() == frozen.data.tobytes()
 
 
 def test_forget_gate_bias_initialized_to_one():
@@ -214,7 +225,7 @@ def attention(params, vectors, mask, seed):
     batch = len(vectors)
     emb, h_tilde, h, c = (rng.normal(size=(batch, 4)) for _ in range(4))
     weights = (params[n].data for n in ("dec_Wx", "dec_Wh", "dec_b", "attn_W", "attn_out_W"))
-    _, (*_, alignment, hc) = ad.decoder_step(emb, h_tilde, h, c, vectors, mask, *weights)
+    _, (*_, alignment, hc) = ad.decoder_step(emb, h_tilde, h, c, vectors, ad._attention_bias(mask), *weights)
     return hc[:, 4:], alignment
 
 
@@ -254,15 +265,45 @@ def test_attention_all_masked_row_raises():
         attention(params, np.zeros((1, 2, 8)), np.zeros((1, 2), dtype=bool), 3)
 
 
+@pytest.mark.parametrize("path", ["decoder", "beam_search_many"])
+def test_all_masked_source_row_raises(path, monkeypatch):
+    # checked once per decoder op and once per beam grid, not at each step
+    params = ModelParams.initialize(tiny_config(), seed=6)
+    batch = tiny_batch(4)
+    with pytest.raises(ContractError, match="no unmasked source position"):
+        if path == "decoder":
+            batch.src_mask[1] = False
+            forward_loss(batch, params)
+        else:
+            pad_rows = decoding.pad_rows
+
+            def pad_rows_masking_row_1(rows):
+                grid, mask = pad_rows(rows)
+                mask[1] = False
+                return grid, mask
+
+            monkeypatch.setattr(decoding, "pad_rows", pad_rows_masking_row_1)
+            decoding.beam_search_many(params, [(batch.src[0], batch.feats[0]), (batch.src[1], batch.feats[1])])
+
+
 def test_decode_step_shapes_and_determinism():
     params = ModelParams.initialize(tiny_config(), seed=7)
     batch = tiny_batch(0)
     vectors, *state = (t.data for t in encode(batch.src, batch.feats, batch.src_mask, params))
-    ht = np.zeros((2, 4))
-    out1 = decode_step(batch.tgt[:, 0], ht, state, vectors, batch.src_mask, params)
-    out2 = decode_step(batch.tgt[:, 0], ht, state, vectors, batch.src_mask, params)
+    ht, bias = np.zeros((2, 4)), ad._attention_bias(batch.src_mask)
+    out1 = decode_step(batch.tgt[:, 0], ht, state, vectors, bias, params)
+    out2 = decode_step(batch.tgt[:, 0], ht, state, vectors, bias, params)
     assert out1[0].shape == (2, 8)  # tgt vocab logits
     np.testing.assert_array_equal(out1[0], out2[0])
+
+
+def test_decode_step_rejects_a_mask_for_the_bias():
+    # a bool mask added as a bias would shift scores by 1/0 and mask nothing
+    params = ModelParams.initialize(tiny_config(), seed=7)
+    batch = tiny_batch(0)
+    vectors, *state = (t.data for t in encode(batch.src, batch.feats, batch.src_mask, params))
+    with pytest.raises(ContractError, match="attention bias is bool"):
+        decode_step(batch.tgt[:, 0], np.zeros((2, 4)), state, vectors, batch.src_mask, params)
 
 
 def test_input_feeding_changes_logits():
@@ -271,9 +312,9 @@ def test_input_feeding_changes_logits():
     vectors, *state = (t.data for t in encode(batch.src, batch.feats, batch.src_mask, params))
     rng = derive_rng(10, "feed")
     fed = rng.normal(size=(2, 4))
-    mask = batch.src_mask
-    without = decode_step(batch.tgt[:, 0], np.zeros((2, 4)), state, vectors, mask, params)[0]
-    with_feed = decode_step(batch.tgt[:, 0], fed, state, vectors, mask, params)[0]
+    bias = ad._attention_bias(batch.src_mask)
+    without = decode_step(batch.tgt[:, 0], np.zeros((2, 4)), state, vectors, bias, params)[0]
+    with_feed = decode_step(batch.tgt[:, 0], fed, state, vectors, bias, params)[0]
     assert params["dec_Wx"].data[4:, :].any()  # the h~ slice is nonzero
     assert not np.array_equal(with_feed, without)
 
@@ -414,6 +455,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
     after, _ = forward_loss(batch, loaded)
     assert after.item() == before.item()
+
+
+def test_loaded_checkpoint_trains_like_the_saved_model(tmp_path):
+    # the loaded tensors are views of one payload buffer: training updates each in place, apart
+    params = ModelParams.initialize(tiny_config(), seed=17)
+    save_checkpoint(params, tmp_path / "model.rnmt")
+    loaded = load_checkpoint(tmp_path / "model.rnmt")
+    rng = derive_rng(18, "examples")
+    examples = [
+        ExamplePair(np.append(rng.integers(4, 8, size=3), EOS), np.append(rng.integers(1, 8, size=3), 0),
+                    np.concatenate([[BOS], rng.integers(4, 8, size=2), [EOS]]))
+        for _ in range(6)
+    ]
+    config = training.TrainConfig(lr=1.0, decay_mode="none", dropout=0.3, batch_size=3, epochs=2, seed=19)
+    reports = [training.train(p, examples, [], config) for p in (params, loaded)]
+    assert reports[0].batch_nll == reports[1].batch_nll
+    assert reports[0].pre_clip_norms == reports[1].pre_clip_norms
+    for (name, a), (_, b) in zip(params.named(), loaded.named()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
 
 def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
