@@ -42,11 +42,10 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.id_to_char)
 
-    def encode_char(self, ch: str) -> int:
-        return self.char_to_id.get(ch, UNK)
-
     def encode(self, text: str) -> list[int]:
-        return [self.encode_char(ch) for ch in text]
+        """Id of each character of text; UNK for those outside the vocabulary."""
+        get = self.char_to_id.get
+        return [get(ch, UNK) for ch in text]
 
     def decode(self, ids, unk_token: str = "<unk>") -> str:
         out = []

@@ -19,19 +19,26 @@ by (-score, parent's lexicographic rank, token id), with dead slots
 last. EOS-ended candidates move to the sentence's completed pool; the
 rest become its next live rows, again in lexicographic order.
 
-A sentence retires when it has no live hypothesis or has run its own
+A sentence retires when it has no live hypothesis, has run its own
 max_len steps (default_max_len of its source unless max_len is given),
-and its rows and annotations are compacted out of the grid. If nothing
-completed by then, its live hypotheses are returned with finished=False.
+or its best completed score is strictly greater than
+max(live logprob) / max_len^alpha; its rows and annotations are then
+compacted out of the grid. That bound is exact ("optimal stopping",
+Huang, Zhao & Ma 2017): a step adds a log-softmax value, which is <= 0,
+and alpha >= 0, so no live row can complete with a higher score. So the
+best hypothesis is the one a search to max_len finds, and the pool holds
+what completed by the step the sentence retired. If nothing completed by
+max_len, its live hypotheses are returned with finished=False.
 beam_search is the one-sentence case, and each sentence of a grid gets
 the hypotheses it gets alone: padding its source to the grid's longest
 changes only the order of the attention softmax sums, so log-probabilities
 can differ in the last bits. Output is platform-deterministic.
 
-Each sentence gets its whole pool: the completed hypotheses (or the
+Each sentence gets its pool: the hypotheses it completed (or the
 unfinished fallback), ranked by (-logprob / len^alpha, tokens). Scores
-are cumulative log-probabilities; the length exponent alpha defaults to
-0, where the division is by 1.0 and so exact, leaving the logprob order.
+are cumulative log-probabilities; the length exponent alpha, a finite
+number >= 0, defaults to 0, where the division is by 1.0 and so exact,
+leaving the logprob order.
 
 translate_lines, and so translate_file and evaluate, decode
 length-sorted chunks of at most CHUNK_ROWS // beam_size sentences, which
@@ -77,8 +84,9 @@ def beam_search(
 ) -> list[Hypothesis]:
     """Decode one source sentence; returns its pool, best first.
 
-    If nothing finished by max_len the unfinished hypotheses are
-    returned with finished=False.
+    The pool holds what completed by the step the sentence retired. If
+    nothing finished by max_len the unfinished hypotheses are returned
+    with finished=False.
     """
     (hyps,) = beam_search_many(params, [(src_ids, feat_ids)], beam_size, max_len, length_alpha)
     return hyps
@@ -91,11 +99,18 @@ def beam_search_many(
     max_len: int | None = None,
     length_alpha: float = 0.0,
 ) -> list[list[Hypothesis]]:
-    """Decode (src_ids, feat_ids) sources in one grid; each source's ranked pool."""
+    """Decode (src_ids, feat_ids) sources in one grid; each source's ranked pool.
+
+    Each pool holds what completed by the step its source retired.
+    Raises DataError for beam_size or max_len below 1, a negative or
+    non-finite length_alpha, or an empty source.
+    """
     if beam_size < 1:
         raise DataError(f"beam_size must be >= 1, got {beam_size}")
     if max_len is not None and max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
+    if not 0.0 <= length_alpha < np.inf:  # the retirement bound needs alpha >= 0
+        raise DataError(f"length_alpha must be a finite number >= 0, got {length_alpha}")
     if not sources:
         return []
     srcs = [np.asarray(ids, dtype=np.int64) for ids, _ in sources]
@@ -106,6 +121,9 @@ def beam_search_many(
     vectors, h, c = (t.data for t in encode(src, feats, mask, params))
     bias = _attention_bias(mask)  # checked once per grid
     limit = np.array([default_max_len(len(ids)) if max_len is None else max_len for ids in srcs])
+    # a live row of logprob lp completes with logprob / len**alpha <= lp / reach_div (sort key's **)
+    reach_div = np.array([n**length_alpha for n in limit.tolist()], dtype=float)
+    best = np.full(len(srcs), -np.inf)  # per source: best logprob / len^alpha completed
     sent = np.arange(len(srcs))  # grid sentence -> index into sources
     tokens = np.full((len(srcs), 1), BOS, dtype=np.int64)  # the BOS column is dropped on output
     logprob, h_tilde, width = np.zeros(len(srcs)), np.zeros_like(h), 1
@@ -123,9 +141,12 @@ def beam_search_many(
         done = token == EOS
         for i in np.flatnonzero(done):
             completed[sent[s[i]]].append(Hypothesis(tokens[i, 1:].tolist(), float(lp[i]), True))
+        np.maximum.at(best, sent[s[done]], lp[done] / step**length_alpha)
         live = ~done
         n_live = np.bincount(s[live], minlength=len(sent))
-        retire = (n_live == 0) | (limit[sent] == step)
+        reach = np.full(len(sent), -np.inf)
+        np.maximum.at(reach, s[live], lp[live])
+        retire = (n_live == 0) | (limit[sent] == step) | (best[sent] > reach / reach_div[sent])
         for j in np.flatnonzero(retire):
             if not completed[sent[j]]:  # nothing finished by max_len: keep the unfinished
                 mine = live & (s == j)

@@ -158,6 +158,49 @@ def greedy_decode(params, src, feats, max_len: int):
     return tokens, total
 
 
+def reference_beam_search(params, src, feats, beam_size: int, max_len: int,
+                          length_alpha: float = 0.0):
+    """Best hypothesis of a plain one-sentence beam search, and the decoder rows it ran.
+
+    Each step extends every live hypothesis by every token but PAD and
+    BOS and keeps the beam_size best by (-logprob, tokens), which is the
+    lexicographic tie-break; EOS-ended ones complete. Only a hypothesis's
+    own beam_size best extensions can be kept, so only those are listed.
+    It stops only when nothing is live or after max_len steps. Returns
+    ((tokens, logprob, finished), rows): the best of the completed
+    hypotheses (else of the live ones, unfinished) by
+    (-logprob / len^alpha, tokens), and the sum over steps of the live
+    hypotheses decoded.
+    """
+    mask = np.ones((1, len(src)), dtype=bool)
+    batch_feats = None if feats is None else feats[None, :]
+    vectors, h, c = (t.data for t in encode(src[None, :], batch_feats, mask, params))
+    bias = ad._attention_bias(mask)
+    # live hypotheses: (tokens, logprob, h, c, h~)
+    live = [([], 0.0, h[0], c[0], np.zeros(params.config.hidden_size))]
+    completed, rows = [], 0
+    for _ in range(max_len):
+        rows += len(live)
+        candidates = []
+        for tokens, logprob, h, c, ht in live:
+            prev = np.array([tokens[-1] if tokens else BOS])
+            logits, (h2, c2), ht2 = decode_step(prev, ht[None], (h[None], c[None]),
+                                                vectors, bias, params)
+            total = logprob + log_softmax(logits)[0]
+            order = np.lexsort((np.arange(len(total)), -total))  # by (-total, id)
+            for tok in [int(tok) for tok in order if tok not in (PAD, BOS)][:beam_size]:
+                candidates.append((tokens + [tok], float(total[tok]), h2[0], c2[0], ht2[0]))
+        candidates.sort(key=lambda cand: (-cand[1], cand[0]))
+        kept = candidates[:beam_size]
+        completed += [(cand[0], cand[1], True) for cand in kept if cand[0][-1] == EOS]
+        live = [cand for cand in kept if cand[0][-1] != EOS]
+        if not live:
+            break
+    pool = completed or [(cand[0], cand[1], False) for cand in live]
+    best = min(pool, key=lambda hyp: (-hyp[1] / len(hyp[0]) ** length_alpha, hyp[0]))
+    return best, rows
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus where the target is a pure function of the source radical
 

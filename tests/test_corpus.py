@@ -31,12 +31,12 @@ def test_build_vocab_min_count_filters_everything():
 
 def test_build_vocab_frequency_ordering():
     v = build_vocab(["aab"])
-    assert v.encode_char("a") < v.encode_char("b")
+    assert v.encode("a") < v.encode("b")
 
 
 def test_build_vocab_codepoint_tiebreak():
     v = build_vocab(["ba"])  # equal counts: codepoint order
-    assert v.encode_char("a") < v.encode_char("b")
+    assert v.encode("a") < v.encode("b")
 
 
 def test_build_vocab_max_size_truncates():
@@ -55,7 +55,7 @@ def test_vocab_roundtrip_through_file(tmp_path):
 
 def test_vocab_decode_skips_reserved():
     v = build_vocab(["abc"])
-    ids = [BOS, v.encode_char("a"), UNK, v.encode_char("b"), EOS, PAD]
+    ids = [BOS, *v.encode("a?b"), EOS, PAD]  # "?" is outside the vocabulary: UNK
     assert v.decode(ids, unk_token="?") == "a?b"
 
 
@@ -87,9 +87,9 @@ def test_encode_pair_example(table):
     sv = build_vocab(["鉄"])
     tv = build_vocab(["铁"])
     ex = encode_pair("鉄", "铁", sv, tv, table)
-    assert ex.src_ids.tolist() == [sv.encode_char("鉄"), EOS]
+    assert ex.src_ids.tolist() == [*sv.encode("鉄"), EOS]
     assert ex.src_feats.tolist() == [167, EOS_FEATURE]
-    assert ex.tgt_ids.tolist() == [BOS, tv.encode_char("铁"), EOS]
+    assert ex.tgt_ids.tolist() == [BOS, *tv.encode("铁"), EOS]
 
 
 def test_encode_pair_empty_source(table):

@@ -11,6 +11,7 @@ from radnmt.corpus import BOS, EOS, PAD, encode_pair
 from radnmt.decoding import (
     beam_search,
     beam_search_many,
+    default_max_len,
     translate_file,
     translate_line,
     translate_lines,
@@ -20,7 +21,7 @@ from radnmt.model import ModelParams
 from radnmt.seeding import derive_rng
 from radnmt.training import TrainConfig, train
 
-from conftest import brute_force_best, greedy_decode, replay_score
+from conftest import brute_force_best, greedy_decode, reference_beam_search, replay_score
 
 
 def _rand_model(seed, src_vocab=5, tgt_vocab=5, spread=0.5):
@@ -49,6 +50,35 @@ TINY_MODELS = pytest.mark.parametrize(
 )
 
 
+def _shaped_model(seed, shape):
+    # the two tiny-model shapes of the brute-force and greedy oracles, and the all-tie model
+    if shape == "zero-params":
+        return _zero_model(src_vocab=8, tgt_vocab=8)
+    vocab = int(shape)
+    return _rand_model(seed, vocab, vocab, spread=0.5 if vocab == 5 else 0.4)
+
+
+def _source(params, chars):
+    """(src_ids, feat_ids) of (character index, feature id) pairs, EOS-terminated."""
+    n = params.config.src_vocab_size - 4  # ids 4.. are characters
+    return np.array([4 + ch % n for ch, _ in chars] + [EOS]), np.array([f for _, f in chars] + [0])
+
+
+SHAPES = st.sampled_from(["5", "8", "zero-params"])
+BEAMS = st.one_of(st.integers(1, 6), st.just(50))  # 50 > every step's width * V
+MAX_LENS = st.one_of(st.none(), st.integers(1, 4))
+SOURCE = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5)), max_size=5)
+
+
+def _assert_best_is_reference(params, src, feats, beam, max_len, alpha):
+    """beam_search's pool[0] is the best of a search to max_len without early retirement."""
+    limit = default_max_len(len(src)) if max_len is None else max_len
+    (tokens, logprob, finished), _ = reference_beam_search(params, src, feats, beam, limit, alpha)
+    best = beam_search(params, src, feats, beam, max_len, alpha)[0]
+    assert (best.tokens, best.finished) == (tokens, finished)
+    assert best.logprob == pytest.approx(logprob, rel=1e-12, abs=0.0)
+
+
 def _rand_input(seed, src_vocab=5, max_chars=3):
     rng = derive_rng(seed, "beam-input")
     n = int(rng.integers(0, max_chars))
@@ -67,6 +97,15 @@ def test_empty_source_raises():
 def test_beam_size_and_max_len_below_one_raise(beam_size, max_len):
     with pytest.raises(DataError, match=">= 1"):
         beam_search(_rand_model(0), np.array([4, EOS]), np.array([1, 0]), beam_size, max_len)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf")])
+def test_negative_or_non_finite_length_alpha_raises(alpha, toy_models, table, toy_data):
+    with pytest.raises(DataError, match="length_alpha must be a finite number >= 0"):
+        beam_search(_rand_model(0), np.array([4, EOS]), np.array([1, 0]), 5, None, alpha)
+    sv, tv, _ = toy_data
+    with pytest.raises(DataError, match="<lines>:1: length_alpha must be"):
+        translate_lines(toy_models[3], table, sv, tv, ["鉄の実験。"], 5, length_alpha=alpha)
 
 
 def test_pad_and_bos_never_emitted():
@@ -173,29 +212,14 @@ def test_pool_is_sorted_and_distinct():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 19),
-    shape=st.sampled_from(["5", "8", "zero-params"]),
-    beam=st.one_of(st.integers(1, 6), st.just(50)),  # 50 > every step's width * V
-    max_len=st.one_of(st.none(), st.integers(1, 4)),
-    sources=st.lists(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5)), max_size=5),
-        min_size=1, max_size=6,
-    ),
+    seed=st.integers(0, 19), shape=SHAPES, beam=BEAMS, max_len=MAX_LENS,
+    sources=st.lists(SOURCE, min_size=1, max_size=6),
 )
 # greedy decoding of both sources runs to their own, different default max_len
 @example(seed=3, shape="5", beam=1, max_len=None, sources=[[(0, 1)], [(0, 1)] * 5])
 def test_many_sentences_decode_as_one_at_a_time(seed, shape, beam, max_len, sources):
-    # the two tiny-model shapes of the brute-force and greedy oracles, and the all-tie model
-    if shape == "zero-params":
-        params = _zero_model(src_vocab=8, tgt_vocab=8)
-    else:
-        vocab = int(shape)
-        params = _rand_model(seed, vocab, vocab, spread=0.5 if vocab == 5 else 0.4)
-    chars = params.config.src_vocab_size - 4  # ids 4.. are characters
-    arrays = [
-        (np.array([4 + ch % chars for ch, _ in src] + [EOS]), np.array([f for _, f in src] + [0]))
-        for src in sources
-    ]
+    params = _shaped_model(seed, shape)
+    arrays = [_source(params, src) for src in sources]
     together = beam_search_many(params, arrays, beam, max_len)
     assert len(together) == len(arrays)
     for hyps, (src, feats) in zip(together, arrays):
@@ -203,6 +227,17 @@ def test_many_sentences_decode_as_one_at_a_time(seed, shape, beam, max_len, sour
         assert [(h.tokens, h.finished) for h in hyps] == [(h.tokens, h.finished) for h in alone]
         for got, want in zip(hyps, alone):
             assert got.logprob == pytest.approx(want.logprob, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 19), shape=SHAPES, beam=BEAMS, max_len=MAX_LENS,
+    alpha=st.sampled_from([0.0, 0.5, 1.0]), chars=SOURCE,
+)
+def test_best_hypothesis_equals_reference_search_on_tiny_models(seed, shape, beam, max_len, alpha,
+                                                                 chars):
+    params = _shaped_model(seed, shape)
+    _assert_best_is_reference(params, *_source(params, chars), beam, max_len, alpha)
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +257,40 @@ def toy_models(toy_data):
                                                 batch_size=5, epochs=epochs - done, seed=0))
         models[epochs], done = copy.deepcopy(params), epochs
     return models
+
+
+@pytest.mark.parametrize("epochs", [3, 40])
+@pytest.mark.parametrize("beam, alpha", [(1, 0.0), (5, 0.0), (5, 1.0), (10, 1.0)])
+def test_best_hypothesis_equals_reference_search_on_toy_models(epochs, beam, alpha, toy_models,
+                                                                table, toy_data, toy_pairs):
+    sv, tv, _ = toy_data
+    params = toy_models[epochs]
+    for line, _ in toy_pairs[::5]:
+        pair = encode_pair(line, "", sv, tv, table)
+        _assert_best_is_reference(params, pair.src_ids, pair.src_feats, beam, None, alpha)
+
+
+def test_sentences_retire_while_rows_are_live(toy_models, table, toy_data, toy_pairs, monkeypatch):
+    # after 40 epochs a line's best translation often completes long before its beam empties:
+    # beam search then decodes fewer rows than a search to max_len, and finds the same best
+    sv, tv, _ = toy_data
+    params, rows, decode_step = toy_models[40], [], decoding.decode_step
+
+    def counting_step(y_prev, *args):
+        rows.append(len(y_prev))
+        return decode_step(y_prev, *args)
+
+    monkeypatch.setattr(decoding, "decode_step", counting_step)
+    fewer = 0
+    for line, _ in toy_pairs:
+        pair = encode_pair(line, "", sv, tv, table)
+        (tokens, _, _), reference_rows = reference_beam_search(
+            params, pair.src_ids, pair.src_feats, 5, default_max_len(len(pair.src_ids)))
+        rows.clear()
+        assert beam_search(params, pair.src_ids, pair.src_feats, 5)[0].tokens == tokens
+        assert sum(rows) <= reference_rows
+        fewer += sum(rows) < reference_rows
+    assert fewer  # at least one sentence retired with rows still live
 
 
 @pytest.mark.parametrize("epochs", [3, 40])
