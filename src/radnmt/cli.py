@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .corpus import FEATURE_VOCAB_SIZE, Batch, Vocab, build_vocab, encode_corpus, read_parallel
-from .errors import DataError, NumericError, RadnmtError, UsageError, read_lines
+from .errors import DataError, NumericError, RadnmtError, UsageError, atomic_write, read_lines
 from .evaluation import TOKENIZATIONS, evaluate
 from .decoding import DEFAULT_UNK_TOKEN, translate_file
 from .model import ModelConfig, ModelParams, forward_loss, load_checkpoint
@@ -131,7 +132,8 @@ def write_run_manifest(
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    target.write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    with atomic_write(target) as f:
+        f.write(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
     return target
 
 
@@ -276,7 +278,8 @@ def _cmd_train(args) -> int:
         {**cfg, "no_features": args.no_features}, seed,
     )
     report = train(params, train_set, dev_set, tconfig)
-    (out_dir / "train_report.tsv").write_text(report.to_tsv(), encoding="utf-8")
+    with atomic_write(out_dir / "train_report.tsv") as f:
+        f.write(report.to_tsv())
     last = report.epochs[-1]
     print(f"done: {len(report.epochs)} epochs, train_nll={last.train_nll:.4f}, "
           f"dev_ppl={last.dev_ppl:.4f}, checkpoints in {out_dir / 'checkpoints'}")
@@ -399,6 +402,7 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")  # to stderr
     sys.exit(dispatch(sys.argv[1:]))
 
 

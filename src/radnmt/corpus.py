@@ -3,6 +3,8 @@
 Source sentences are encoded as character ids plus a position-aligned
 radical feature sequence; targets get BOS...EOS. Feature id 0 is
 reserved for the EOS/PAD positions (real radicals are 1..214).
+Vocabularies and encodings work on whole code-point arrays (one per
+corpus side), looked up in the dense tables of radicals.code_table.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError, read_lines, read_utf8
-from .radicals import N_RADICALS, RadicalTable
+from .errors import DataError, UsageError, atomic_write, read_lines, read_utf8
+from .radicals import N_RADICALS, RadicalTable, code_points, code_table, lookup
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -28,7 +30,7 @@ FEATURE_VOCAB_SIZE = N_RADICALS + 1  # ids 0..214
 
 
 class Vocab:
-    """Character <-> id map with reserved ids 0..3."""
+    """Character <-> id map with reserved ids 0..3; id_table maps code points to ids (UNK if absent)."""
 
     def __init__(self, chars: list[str]):
         for i, ch in enumerate(chars):
@@ -38,14 +40,14 @@ class Vocab:
         self.char_to_id = {ch: N_RESERVED + i for i, ch in enumerate(chars)}
         if len(self.char_to_id) != len(chars):
             raise DataError("duplicate character in vocabulary")
+        self.id_table = code_table({ord(ch): i for ch, i in self.char_to_id.items()}, UNK, np.int32)
 
     def __len__(self) -> int:
         return len(self.id_to_char)
 
     def encode(self, text: str) -> list[int]:
         """Id of each character of text; UNK for those outside the vocabulary."""
-        get = self.char_to_id.get
-        return [get(ch, UNK) for ch in text]
+        return lookup(self.id_table, code_points(text)).tolist()
 
     def decode(self, ids, unk_token: str = "<unk>") -> str:
         out = []
@@ -62,7 +64,7 @@ class Vocab:
         return "".join(out)
 
     def save(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for i, ch in enumerate(self.id_to_char):
                 f.write(f"{i}\t{ch}\n")
 
@@ -101,17 +103,13 @@ def build_vocab(sentences, min_count: int = 1, max_size: int | None = None) -> V
         raise UsageError(f"max_size must be 0 (unlimited) or at least {N_RESERVED + 1}, got {max_size}")
     if not sentences:
         raise DataError("build_vocab needs at least one sentence")
-    counts: dict[str, int] = {}
-    for sentence in sentences:
-        for ch in sentence:
-            counts[ch] = counts.get(ch, 0) + 1
-    admitted = sorted(
-        (ch for ch, n in counts.items() if n >= min_count),
-        key=lambda ch: (-counts[ch], ord(ch)),
-    )
+    chars, counts = np.unique(code_points("".join(sentences)), return_counts=True)
+    keep = counts >= min_count
+    chars, counts = chars[keep], counts[keep]
+    admitted = np.lexsort((chars, -counts))
     if max_size:
         admitted = admitted[: max_size - N_RESERVED]
-    return Vocab(admitted)
+    return Vocab([chr(cp) for cp in chars[admitted].tolist()])
 
 
 def read_parallel(src_path, tgt_path) -> list[tuple[str, str]]:
@@ -139,10 +137,23 @@ class ExamplePair:
 
 
 def encode_pair(src: str, tgt: str, src_vocab: Vocab, tgt_vocab: Vocab, table: RadicalTable) -> ExamplePair:
-    src_ids = np.array(src_vocab.encode(src) + [EOS], dtype=np.int64)
-    feats = np.array(table.annotate(src) + [EOS_FEATURE], dtype=np.int64)
-    tgt_ids = np.array([BOS] + tgt_vocab.encode(tgt) + [EOS], dtype=np.int64)
-    return ExamplePair(src_ids, feats, tgt_ids)
+    """encode_corpus of one pair, with no length cap."""
+    return encode_corpus([(src, tgt)], src_vocab, tgt_vocab, table, max_chars=None)[0]
+
+
+def _rows(texts: list[str], bos: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay texts out end to end, each as a row of a BOS slot (if bos), its characters and an EOS slot.
+
+    Returns the code points of all texts, the mask of the character
+    slots, and the bounds of the rows (0, then the end of each row).
+    """
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    bounds = np.concatenate(([0], np.cumsum(lengths + 1 + bos)))
+    chars = np.ones(bounds[-1], dtype=bool)
+    chars[bounds[1:] - 1] = False
+    if bos:
+        chars[bounds[:-1]] = False
+    return code_points("".join(texts)), chars, bounds
 
 
 def encode_corpus(
@@ -152,17 +163,33 @@ def encode_corpus(
     table: RadicalTable,
     max_chars: int | None = 400,
 ) -> list[ExamplePair]:
-    """Encode all pairs, skipping over-length sentences (training-time cap)."""
-    out = []
-    skipped = 0
-    for src, tgt in pairs:
-        if max_chars is not None and (len(src) > max_chars or len(tgt) > max_chars):
-            skipped += 1
-            continue
-        out.append(encode_pair(src, tgt, src_vocab, tgt_vocab, table))
-    if skipped:
+    """Encode all pairs, skipping over-length sentences (training-time cap).
+
+    Each side is looked up as one code-point array; each pair's arrays
+    are views of one array per field.
+    """
+    pairs = list(pairs)
+    kept = pairs if max_chars is None else [
+        (src, tgt) for src, tgt in pairs if len(src) <= max_chars and len(tgt) <= max_chars
+    ]
+    if skipped := len(pairs) - len(kept):
         log.warning("skipped %d pairs longer than %d characters", skipped, max_chars)
-    return out
+    if not kept:
+        return []
+    src_cps, src_chars, src_bounds = _rows([src for src, _ in kept], bos=False)
+    tgt_cps, tgt_chars, tgt_bounds = _rows([tgt for _, tgt in kept], bos=True)
+    src_ids = np.full(src_bounds[-1], EOS, dtype=np.int64)
+    src_ids[src_chars] = lookup(src_vocab.id_table, src_cps)
+    src_feats = np.full(src_bounds[-1], EOS_FEATURE, dtype=np.int64)
+    src_feats[src_chars] = lookup(table.resolved, src_cps)
+    tgt_ids = np.full(tgt_bounds[-1], EOS, dtype=np.int64)
+    tgt_ids[tgt_bounds[:-1]] = BOS
+    tgt_ids[tgt_chars] = lookup(tgt_vocab.id_table, tgt_cps)
+    src_at, tgt_at = src_bounds.tolist(), tgt_bounds.tolist()
+    return [
+        ExamplePair(src_ids[s0:s1], src_feats[s0:s1], tgt_ids[t0:t1])
+        for s0, s1, t0, t1 in zip(src_at, src_at[1:], tgt_at, tgt_at[1:])
+    ]
 
 
 @dataclass

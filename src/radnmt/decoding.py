@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import _attention_bias, log_softmax
-from .corpus import BOS, EOS, PAD, Vocab, encode_pair, pad_rows
+from .corpus import BOS, EOS, PAD, Vocab, encode_corpus, pad_rows
 from .errors import DataError, RadnmtError, read_lines
 from .model import ModelParams, decode_step, encode
 from .radicals import RadicalTable
@@ -227,7 +227,7 @@ def translate_lines(
     by source length. An error keeps its class, and so its exit code, and
     names source and the 1-based numbers of the chunk's lines.
     """
-    pairs = [encode_pair(line, "", src_vocab, tgt_vocab, table) for line in lines]
+    pairs = encode_corpus([(line, "") for line in lines], src_vocab, tgt_vocab, table, max_chars=None)
     order = sorted(range(len(pairs)), key=lambda i: len(pairs[i].src_ids))
     size = max(1, CHUNK_ROWS // max(1, beam_size))
     out = [""] * len(pairs)

@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package, and the one UTF-8 and line reader.
+"""Exception hierarchy shared across the package, the one UTF-8 and line reader, and the one file writer.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 NumericError -> 3.
 """
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -59,3 +61,22 @@ def read_lines(path) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return [line.removesuffix("\r") for line in lines]
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A file ("w": UTF-8 text, "wb": bytes) whose contents replace path when the block ends.
+
+    It writes a temporary file in path's directory and renames it over
+    path, so a write cut off part way leaves path as it was and no
+    temporary file behind. There is no fsync: this guards against a
+    killed process or a failed write, not against a power cut.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.tmp")
+    try:
+        with partial.open(mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)

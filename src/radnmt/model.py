@@ -40,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import FEATURE_VOCAB_SIZE, Batch
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, atomic_write
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"RNMT"
@@ -264,9 +264,8 @@ def forward_loss(
 def save_checkpoint(params: ModelParams, path) -> None:
     """Bit-exact binary checkpoint: magic, version, JSON manifest, f64 payload.
 
-    The file is written under a temporary name in the same directory and
-    then renamed over path, so a write cut off part way leaves path as it
-    was and no temporary file behind.
+    The file is written through errors.atomic_write, so a write cut off
+    part way leaves path as it was and no temporary file behind.
     """
     tensors = list(params.named())
     directory = []
@@ -282,19 +281,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
         },
         ensure_ascii=False,
     ).encode("utf-8")
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.tmp")
-    try:
-        with partial.open("wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<Q", len(manifest)))
-            f.write(manifest)
-            for _, t in tensors:
-                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    with atomic_write(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        f.write(struct.pack("<Q", len(manifest)))
+        f.write(manifest)
+        for _, t in tensors:
+            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -17,7 +17,7 @@ the first of these rules that applies:
   5. Everything else uses the radical of 符.
 
 The rules are resolved once, when the tables load, into one frozen
-code-point map; every code point it lacks takes rule 5, so the mapping
+code-point table; every code point it lacks takes rule 5, so the mapping
 is total: every Unicode scalar yields an index in 1..214. Han
 characters missing from the table take rule 5 too, not an error, so
 noisy corpora annotate cleanly; RadicalTable.unknown_han counts them.
@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import string
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, read_lines
 
@@ -99,12 +101,35 @@ def is_han(cp: int) -> bool:
     return any(cp in r for r in _HAN_RANGES)
 
 
+def code_points(text: str) -> np.ndarray:
+    """The code point of each of text's len(text) characters, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def code_table(mapping: dict[int, int], default: int, dtype) -> np.ndarray:
+    """A lookup() table: mapping's value at each code point it names, default elsewhere.
+
+    The table ends one past mapping's largest code point, and that last
+    entry, default, stands for every larger code point. It is read-only.
+    """
+    table = np.full(max(mapping, default=-1) + 2, default, dtype=dtype)
+    table[list(mapping)] = list(mapping.values())
+    table.flags.writeable = False
+    return table
+
+
+def lookup(table: np.ndarray, cps: np.ndarray) -> np.ndarray:
+    """table's entry for each code point of cps (see code_table)."""
+    return table.take(cps, mode="clip")
+
+
 @dataclass(frozen=True)
 class RadicalTable:
     """Loaded radical data, frozen after load and safe for shared reads.
 
-    resolved holds the outcome of every rule for each code point a rule
-    names; the other fields are the tables it was resolved from.
+    resolved is the code_table of every rule's outcome, symbol_radical
+    for each code point no rule names; the other fields are the tables it
+    was resolved from.
     """
 
     han_map: dict[int, int]
@@ -112,18 +137,17 @@ class RadicalTable:
     numeral_map: dict[str, int]
     latin_radical: int
     symbol_radical: int
-    resolved: dict[int, int]
+    resolved: np.ndarray = field(compare=False, repr=False)  # uint8, read through lookup()
 
     def radical_of(self, ch: str) -> int:
         """Radical index for a single character. Total over Unicode."""
         if len(ch) != 1:
             raise DataError(f"radical_of expects one character, got {ch!r}")
-        return self.resolved.get(ord(ch), self.symbol_radical)
+        return self.annotate(ch)[0]
 
     def annotate(self, sentence: str) -> list[int]:
         """Position-aligned radical indices; len(result) == len(sentence)."""
-        resolved, symbol = self.resolved, self.symbol_radical
-        return [resolved.get(ord(ch), symbol) for ch in sentence]
+        return lookup(self.resolved, code_points(sentence)).tolist()
 
     def unknown_han(self, text: str) -> int:
         """How many characters of text are Han but missing from the Han table."""
@@ -213,13 +237,14 @@ def load_radical_table(han_path, kana_path) -> RadicalTable:
     resolved.update((cp, index) for cp, (_, index) in kana_map.items() if not is_han(cp))
     resolved.update((cp, index) for cp, index in han_map.items() if is_han(cp))
     resolved.update((cp, index) for index, cp in enumerate(_KANGXI_BLOCK, 1))
+    symbol_radical = _anchor(SYMBOL_SOURCE)
     return RadicalTable(
         han_map=han_map,
         kana_map=kana_map,
         numeral_map=numeral_map,
         latin_radical=latin_radical,
-        symbol_radical=_anchor(SYMBOL_SOURCE),
-        resolved=resolved,
+        symbol_radical=symbol_radical,
+        resolved=code_table(resolved, symbol_radical, np.uint8),
     )
 
 

@@ -148,7 +148,7 @@ def train(
         epoch_nll = 0.0
         epoch_tokens = 0
         for bi, batch in enumerate(batches):
-            rng = derive_rng(config.seed, "dropout", epoch, bi)
+            rng = derive_rng(config.seed, "dropout", epoch, bi) if config.dropout > 0 else None
             params.zero_grads()
             try:
                 with ad.Tape() as tape:

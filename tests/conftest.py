@@ -12,6 +12,7 @@ from radnmt import autodiff as ad
 from radnmt.autodiff import log_softmax
 from radnmt.corpus import BOS, EOS, PAD, Batch
 from radnmt.model import decode_step, encode
+from radnmt.radicals import _HAN_RANGES
 from radnmt.seeding import derive_rng
 
 
@@ -66,6 +67,28 @@ def tiny_batch(seed: int, batch: int = 2, src_len: int = 3, tgt_chars: int = 2,
          np.full((batch, 1), EOS, dtype=np.int64)], axis=1,
     )
     return Batch(src, feats, np.ones_like(src, dtype=bool), tgt, np.ones_like(tgt, dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# independent radical oracle
+
+
+def reference_radical(table, ch):
+    """The documented rules, tried in order: the Kangxi block, then 1..5."""
+    cp = ord(ch)
+    if 0x2F00 <= cp <= 0x2FD5:
+        return cp - 0x2F00 + 1
+    if any(cp in r for r in _HAN_RANGES):
+        return table.han_map.get(cp, table.symbol_radical)
+    if cp in table.kana_map:
+        return table.kana_map[cp][1]
+    if 0xFF01 <= cp <= 0xFF5E:  # fullwidth ASCII folds to ASCII
+        ch = chr(cp - 0xFEE0)
+    if ch in table.numeral_map:
+        return table.numeral_map[ch]
+    if "A" <= ch <= "Z" or "a" <= ch <= "z":
+        return table.latin_radical
+    return table.symbol_radical
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -11,8 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radnmt
-from radnmt.cli import _MODEL_KEYS, _TRAIN_KEYS, CONFIG_SCHEMA, dispatch, load_config, resolve_config
-from radnmt.errors import UsageError
+from radnmt.cli import (
+    _MODEL_KEYS,
+    _TRAIN_KEYS,
+    CONFIG_SCHEMA,
+    dispatch,
+    load_config,
+    resolve_config,
+    write_run_manifest,
+)
+from radnmt.corpus import Vocab
+from radnmt.errors import UsageError, atomic_write
 from radnmt.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
 from radnmt.training import TrainConfig
 
@@ -635,3 +645,48 @@ def test_train_line_count_mismatch_is_data_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "2 vs 1" in capsys.readouterr().err
+
+
+def _fail_part_way(path):
+    with atomic_write(path) as f:
+        f.write("epoch\ttrain_nll\n")
+        raise OSError("No space left on device")
+
+
+# a lone surrogate reaches a vocabulary from Python callers, and a manifest
+# from a command-line argument that is not UTF-8 (decoded with surrogateescape)
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: Vocab(["a", "b", "\ud800", "c"]).save(path),
+        lambda path: write_run_manifest(path, argparse.Namespace(command="annotate"), (), {"input": "\udcff"}),
+        _fail_part_way,
+    ],
+    ids=["vocab", "manifest", "report"],
+)
+def test_failed_write_keeps_the_previous_file(write, tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises((UnicodeEncodeError, OSError)):
+        write(path)
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
+def test_train_logs_skipped_pairs_and_epochs_on_stderr(tmp_path, capsys):
+    src, tgt, config = tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "c.cfg"
+    src.write_text("ab\nabcd\n", encoding="utf-8")
+    tgt.write_text("x\ny\n", encoding="utf-8")
+    config.write_text("max_src_len=3\n", encoding="utf-8")
+    args = ["train", "--config", str(config), "--train-src", str(src), "--train-tgt", str(tgt),
+            "--dev-src", str(src), "--dev-tgt", str(tgt), "--out", str(tmp_path / "run"),
+            "--hidden", "4", "--char-embed", "4", "--feat-embed", "2", "--epochs", "1", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(radnmt.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "radnmt", *args], capture_output=True, text=True, env=env)
+    # logging's last-resort handler shows the warning even unconfigured, but not the epoch lines
+    assert "WARNING radnmt.corpus: skipped 1 pairs longer than 3 characters" in done.stderr
+    assert "INFO radnmt.training: epoch 1: train_nll=" in done.stderr
+    assert "Traceback" not in done.stderr
+    # the same run in process, where no logging is set up, has the same exit code and stdout
+    assert done.returncode == dispatch(args) == 0
+    assert done.stdout == capsys.readouterr().out

@@ -8,15 +8,20 @@ from radnmt.corpus import (
     BOS,
     EOS,
     EOS_FEATURE,
+    N_RESERVED,
     PAD,
+    RESERVED,
     UNK,
     Vocab,
     build_vocab,
+    encode_corpus,
     encode_pair,
     make_batches,
     read_parallel,
 )
 from radnmt.errors import DataError
+
+from conftest import reference_radical
 
 
 def test_build_vocab_counting():
@@ -191,3 +196,78 @@ def test_vocab_roundtrip_property(table, sentences):
     for s in sentences:
         ids = vocab.encode(s)
         assert vocab.decode(ids) == s  # no UNK possible: vocab built on s
+
+
+# The per-character dict-and-list encoding that the whole-corpus array code replaced.
+
+
+def _reference_vocab(sentences, min_count=1, max_size=None) -> list[str]:
+    counts: dict[str, int] = {}
+    for sentence in sentences:
+        for ch in sentence:
+            counts[ch] = counts.get(ch, 0) + 1
+    admitted = sorted(
+        (ch for ch, n in counts.items() if n >= min_count),
+        key=lambda ch: (-counts[ch], ord(ch)),
+    )
+    if max_size:
+        admitted = admitted[: max_size - N_RESERVED]
+    return list(RESERVED.values()) + admitted
+
+
+def _reference_pair(src, tgt, src_chars, tgt_chars, table) -> tuple[list[int], list[int], list[int]]:
+    src_ids = {ch: i for i, ch in enumerate(src_chars) if i >= N_RESERVED}
+    tgt_ids = {ch: i for i, ch in enumerate(tgt_chars) if i >= N_RESERVED}
+    return (
+        [src_ids.get(ch, UNK) for ch in src] + [EOS],
+        [reference_radical(table, ch) for ch in src] + [EOS_FEATURE],
+        [BOS] + [tgt_ids.get(ch, UNK) for ch in tgt] + [EOS],
+    )
+
+
+def _as_lists(example) -> tuple[list[int], list[int], list[int]]:
+    arrays = (example.src_ids, example.src_feats, example.tgt_ids)
+    assert all(a.dtype == np.int64 and a.ndim == 1 for a in arrays)
+    return tuple(a.tolist() for a in arrays)
+
+
+# kana, listed and unlisted Han (㐀), an astral Han and an emoji, Latin, a
+# fullwidth letter, a digit, symbols and a lone surrogate
+_CHARS = ["か", "カ", "ー", "鉄", "実", "㐀", "\U00020000", "\U0001F600", "a", "Ａ", "7", "。", " ", "\ud800"]
+_texts = st.lists(st.sampled_from(_CHARS), max_size=8).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    src_lines=st.lists(_texts, min_size=1, max_size=6),
+    tgt_lines=st.lists(_texts, min_size=1, max_size=6),
+    pairs=st.lists(st.tuples(_texts, _texts), max_size=6),
+    max_chars=st.integers(0, 6),
+    min_count=st.integers(0, 3),
+    max_size=st.sampled_from([None, 0, 5, 6, 9]),
+)
+def test_vocab_and_encoding_equal_per_character_reference(
+    table, src_lines, tgt_lines, pairs, max_chars, min_count, max_size
+):
+    src_vocab = build_vocab(src_lines, min_count=min_count, max_size=max_size)
+    tgt_vocab = build_vocab(tgt_lines, min_count=min_count, max_size=max_size)
+    src_chars = _reference_vocab(src_lines, min_count, max_size)
+    tgt_chars = _reference_vocab(tgt_lines, min_count, max_size)
+    assert src_vocab.id_to_char == src_chars
+    assert tgt_vocab.id_to_char == tgt_chars
+    # lines of exactly max_chars and max_chars + 1 characters, on either side
+    edge = "鉄か\U00020000" * 3
+    exact, over = edge[:max_chars], edge[: max_chars + 1]
+    pairs = pairs + [(exact, exact), (exact, over), (over, exact)]
+    expected = [
+        _reference_pair(src, tgt, src_chars, tgt_chars, table)
+        for src, tgt in pairs
+        if len(src) <= max_chars and len(tgt) <= max_chars
+    ]
+    encoded = encode_corpus(pairs, src_vocab, tgt_vocab, table, max_chars=max_chars)
+    assert [_as_lists(e) for e in encoded] == expected
+    for src, tgt in pairs:
+        reference = _reference_pair(src, tgt, src_chars, tgt_chars, table)
+        assert _as_lists(encode_pair(src, tgt, src_vocab, tgt_vocab, table)) == reference
+        assert src_vocab.encode(src) == reference[0][:-1]
+        assert table.annotate(src) == reference[1][:-1]

@@ -15,6 +15,8 @@ from radnmt.radicals import (
     radical_glyph,
 )
 
+from conftest import reference_radical
+
 
 def test_kangxi_glyph_list_complete():
     assert len(KANGXI_GLYPHS) == N_RADICALS + 1
@@ -76,28 +78,10 @@ def test_unknown_han_falls_through_to_symbol_with_counter(table):
         table.symbol_radical = 1
 
 
-def _reference_radical(table, ch):
-    """The documented rules, tried in order: the Kangxi block, then 1..5."""
-    cp = ord(ch)
-    if 0x2F00 <= cp <= 0x2FD5:
-        return cp - 0x2F00 + 1
-    if any(cp in r for r in _HAN_RANGES):
-        return table.han_map.get(cp, table.symbol_radical)
-    if cp in table.kana_map:
-        return table.kana_map[cp][1]
-    if 0xFF01 <= cp <= 0xFF5E:  # fullwidth ASCII folds to ASCII
-        ch = chr(cp - 0xFEE0)
-    if ch in table.numeral_map:
-        return table.numeral_map[ch]
-    if "A" <= ch <= "Z" or "a" <= ch <= "z":
-        return table.latin_radical
-    return table.symbol_radical
-
-
 def test_resolved_map_follows_rule_order_everywhere(table):
     edges = [cp + d for r in _HAN_RANGES for cp in (r.start, r[-1]) for d in (-1, 0, 1)]
     for cp in [*range(0x10000), *edges]:
-        assert table.radical_of(chr(cp)) == _reference_radical(table, chr(cp)), hex(cp)
+        assert table.radical_of(chr(cp)) == reference_radical(table, chr(cp)), hex(cp)
 
 
 def test_annotate_alignment_and_examples(table):

@@ -3,6 +3,7 @@ import pytest
 
 import radnmt
 from radnmt import autodiff as ad
+from radnmt import training
 from radnmt.autodiff import Tensor
 from radnmt.errors import ConfigError, DataError
 from radnmt.model import ModelParams, load_checkpoint
@@ -67,6 +68,20 @@ def test_training_step_accounting(toy_data):
     report = train(params, examples, [], config)
     assert report.steps == 2 * 5  # 50 pairs / batch 10 = 5 batches per epoch
     assert len(report.epochs) == 2
+
+
+@pytest.mark.parametrize("dropout, streams", [(0.0, 0), (0.3, 10)])
+def test_dropout_stream_derived_only_when_dropout_is_on(toy_data, monkeypatch, dropout, streams):
+    tags = []
+
+    def derive_rng(seed, *keys):
+        tags.append(keys[0])
+        return radnmt.seeding.derive_rng(seed, *keys)
+
+    monkeypatch.setattr(training, "derive_rng", derive_rng)
+    params, examples = _toy_model(toy_data, dropout=dropout)
+    train(params, examples, [], TrainConfig(epochs=2, batch_size=10, dropout=dropout, decay_mode="none"))
+    assert tags.count("dropout") == streams  # 5 batches in each of 2 epochs
 
 
 def test_training_deterministic_trajectory(toy_data):
