@@ -9,7 +9,7 @@ BLEU/perplexity evaluation.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, Tensor, backward, clip_by_global_norm, grad_check, uniform_init
+from .autodiff import Tape, Tensor, backward, clip_by_global_norm, grad_check
 from .corpus import (
     BOS,
     EOS,

@@ -4,11 +4,12 @@ One Tape at most records per thread; ops executed while it is active
 are recorded in execution order (already a topological order), and
 backward() replays the records once, in reverse. Every VJP returns one
 gradient per input: those reaching op outputs are summed, those reaching
-requires_grad leaves go to .grad, and those reaching constants are
-dropped. An op is recorded when a tape is active and one of its inputs
-requires grad (_recording); otherwise it runs forward-only. Dropout
-masks come pre-scaled: 1 / (1 - p) on kept lanes, 0 on dropped ones,
-and the ops that take one multiply by it.
+requires_grad leaves are added into .grad in place (a new array where it
+is None; model.ModelParams makes each a view of one array), and those
+reaching constants are dropped. An op is recorded when a tape is active
+and one of its inputs requires grad (_recording); otherwise it runs
+forward-only. Dropout masks come pre-scaled: 1 / (1 - p) on kept lanes,
+0 on dropped ones, and the ops that take one multiply by it.
 
 Everything is float64. Every op checks its output for NaN/Inf and
 raises NumericError rather than letting poison propagate. The
@@ -480,13 +481,6 @@ def decoder(
 
 # ---------------------------------------------------------------------------
 # parameter utilities
-
-
-def uniform_init(shape, rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> Tensor:
-    """I.i.d. uniform values in [low, high), drawn from rng, as a trainable tensor."""
-    if low >= high:
-        raise UsageError(f"uniform_init: low {low} must be < high {high}")
-    return Tensor(rng.uniform(low, high, size=shape), requires_grad=True)
 
 
 def clip_by_global_norm(grads: Sequence[np.ndarray], max_norm: float = 1.0):

@@ -369,6 +369,9 @@ def _cmd_gradcheck(args) -> int:
 def dispatch(argv) -> int:
     parser = _build_parser()
     try:
+        # bytes that are not UTF-8 reach argv as lone surrogates (surrogateescape), which no output can hold
+        if bad := [arg for arg in argv if any("\ud800" <= ch <= "\udfff" for ch in arg)]:
+            raise UsageError(f"argument {bad[0]!r} is not valid UTF-8")
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()

@@ -24,10 +24,14 @@ Architecture:
 
 Training-mode dropout is applied to the embedded encoder/decoder inputs
 and to h~ (the dropped h~ is both projected and fed forward).
+
+ModelParams holds one float64 parameter array, the checkpoint payload,
+and one gradient array; each named tensor's values and gradient are views.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -40,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import FEATURE_VOCAB_SIZE, Batch
-from .errors import ConfigError, DataError, ShapeError, atomic_write
+from .errors import ConfigError, DataError, atomic_write
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"RNMT"
@@ -107,21 +111,21 @@ def _param_shapes(config: ModelConfig, feature_path: bool) -> dict[str, tuple[in
 
 
 class ModelParams:
-    """All trainable tensors, enumerable and serializable by name."""
+    """Trainable tensors by name: views, in _param_shapes order, of flat self.data (data, uncopied) and self.grad."""
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor], feature_path: bool):
-        expected = _param_shapes(config, feature_path)
-        if set(tensors) != set(expected):
-            raise ConfigError(
-                f"parameter set mismatch: extra {set(tensors) - set(expected)}, "
-                f"missing {set(expected) - set(tensors)}"
-            )
-        for name, shape in expected.items():
-            if tensors[name].shape != shape:
-                raise ShapeError(f"{name}: expected shape {shape}, got {tensors[name].shape}")
+    def __init__(self, config: ModelConfig, feature_path: bool, data: np.ndarray | None = None):
         self.config = config
         self.feature_path = feature_path
-        self._tensors = {name: tensors[name] for name in expected}  # fixed order
+        shapes = _param_shapes(config, feature_path)
+        ends = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
+        self._spans = list(map(slice, ends, ends[1:]))  # each tensor's elements of data and grad
+        try:
+            self.data = np.empty(ends[-1]) if data is None else data
+        except ValueError as exc:  # numpy's limit on one dimension, past any memory
+            raise MemoryError(f"{ends[-1]} parameters do not fit in one array") from exc
+        self._tensors = {name: Tensor(self.data[span].reshape(shape), requires_grad=True, name=name)
+                         for (name, shape), span in zip(shapes.items(), self._spans)}
+        self.zero_grads()
 
     @classmethod
     def initialize(
@@ -140,16 +144,15 @@ class ModelParams:
         """
         if feature_path is False and config.feat_embed_dim != 0:
             raise ConfigError("the no-feature baseline requires feat_embed_dim == 0")
+        if not init_low < init_high:
+            raise ConfigError(f"init_low {init_low} must be < init_high {init_high}")
+        params = cls(config, feature_path)
+        for name, t in params.named():
+            t.data[...] = derive_rng(seed, "init", name).uniform(init_low, init_high, size=t.shape)
         q = config.hidden_size
-        tensors = {}
-        for name, shape in _param_shapes(config, feature_path).items():
-            rng = derive_rng(seed, "init", name)
-            t = ad.uniform_init(shape, rng, init_low, init_high)
-            t.name = name
-            tensors[name] = t
         for name in ("enc_fwd_b", "enc_bwd_b", "dec_b"):
-            tensors[name].data[q : 2 * q] = 1.0
-        return cls(config, tensors, feature_path)
+            params[name].data[q : 2 * q] = 1.0
+        return params
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -161,17 +164,14 @@ class ModelParams:
         return list(self._tensors.values())
 
     def zero_grads(self) -> None:
-        for t in self._tensors.values():
-            t.zero_grad()
+        """Views of a fresh np.zeros array, whose calloc'd pages add to RSS only once written."""
+        self.grad = np.zeros(self.data.size)
+        for t, span in zip(self._tensors.values(), self._spans):
+            t.grad = self.grad[span].reshape(t.shape)
 
     def grads(self) -> list[np.ndarray]:
-        """Gradient arrays in parameter order; untouched params count as zero."""
-        out = []
-        for t in self._tensors.values():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            out.append(t.grad)
-        return out
+        """Each tensor's gradient array, in parameter order."""
+        return [t.grad for t in self._tensors.values()]
 
 
 def encode(
@@ -262,17 +262,13 @@ def forward_loss(
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Bit-exact binary checkpoint: magic, version, JSON manifest, f64 payload.
+    """Bit-exact binary checkpoint: magic, version, JSON manifest, and params.data as the f64 payload.
 
     The file is written through errors.atomic_write, so a write cut off
     part way leaves path as it was and no temporary file behind.
     """
-    tensors = list(params.named())
-    directory = []
-    offset = 0
-    for name, t in tensors:
-        directory.append({"name": name, "shape": list(t.shape), "offset": offset})
-        offset += t.data.size * 8
+    directory = [{"name": name, "shape": list(t.shape), "offset": 8 * span.start}
+                 for (name, t), span in zip(params.named(), params._spans)]
     manifest = json.dumps(
         {
             "config": asdict(params.config),
@@ -286,8 +282,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(manifest)))
         f.write(manifest)
-        for _, t in tensors:
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(params.data, dtype="<f8"))  # no copy on a little-endian host
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -308,30 +303,20 @@ def load_checkpoint(path) -> ModelParams:
             raise DataError(f"{path}: truncated checkpoint header ({exc})") from exc
         except RecursionError as exc:
             raise DataError(f"{path}: invalid checkpoint manifest (nested too deeply)") from exc
-        config, feature_path, entries, size = _check_manifest(
-            manifest, path, os.fstat(f.fileno()).st_size - f.tell()
-        )
+        config, feature_path, size = _check_manifest(manifest, path, os.fstat(f.fileno()).st_size - f.tell())
         payload = np.empty(size // 8, dtype="<f8")
         if f.readinto(payload) != size:  # the file shrank since fstat
             raise DataError(f"{path}: truncated checkpoint (payload ends early)")
-    tensors = {}
-    for entry in entries:
-        start, shape = entry["offset"] // 8, tuple(entry["shape"])
-        t = Tensor(payload[start : start + math.prod(shape)].reshape(shape), requires_grad=True)
-        t.name = entry["name"]
-        tensors[entry["name"]] = t
-    try:
-        return ModelParams(config, tensors, feature_path)
-    except (ConfigError, ShapeError) as exc:
-        raise DataError(f"{path}: checkpoint tensors do not fit its config ({exc})") from exc
+    return ModelParams(config, feature_path, payload)
 
 
-def _check_manifest(manifest, path, payload_bytes: int) -> tuple[ModelConfig, bool, list[dict], int]:
-    """The config, feature flag, tensor directory and payload size of a checkpoint manifest.
+def _check_manifest(manifest, path, payload_bytes: int) -> tuple[ModelConfig, bool, int]:
+    """The config, feature flag and payload size of a checkpoint manifest.
 
     Anything but the layout save_checkpoint writes raises DataError: each
-    tensor starts where the one before it ends, so none overlap, and the
-    payload_bytes left in the file must hold them all.
+    tensor starts where the one before it ends, so none overlap, the
+    payload_bytes left in the file must hold them all, and their names,
+    shapes and order are _param_shapes' for the config and feature flag.
     """
 
     def bad(what: str) -> DataError:
@@ -363,15 +348,19 @@ def _check_manifest(manifest, path, payload_bytes: int) -> tuple[ModelConfig, bo
         raise bad("tensors is not a list")
     end = 0
     for entry in entries:
-        if not (
-            isinstance(entry, dict) and set(entry) == {"name", "shape", "offset"}
-            and isinstance(entry["name"], str) and count(entry["offset"])
-            and isinstance(entry["shape"], list) and all(count(n) for n in entry["shape"])
-        ):
+        # a name of any other kind fails the comparison with _param_shapes below
+        if not (isinstance(entry, dict) and set(entry) == {"name", "shape", "offset"}
+                and count(entry["offset"]) and isinstance(entry["shape"], list)
+                and all(count(n) for n in entry["shape"])):
             raise bad(f"bad tensor entry {entry!r}")
         if entry["offset"] != end:
             raise bad(f"{entry['name']} at offset {entry['offset']}, not {end} where the one before ends")
         end += 8 * math.prod(entry["shape"])  # Python ints: a huge shape cannot wrap round to a small size
         if end > payload_bytes:
             raise DataError(f"{path}: truncated checkpoint (payload ends inside {entry['name']})")
-    return config, manifest["feature_path"], entries, end
+    layout = [(entry["name"], tuple(entry["shape"])) for entry in entries]
+    expected = list(_param_shapes(config, manifest["feature_path"]).items())
+    for i, (got, want) in enumerate(itertools.zip_longest(layout, expected)):
+        if got != want:
+            raise bad(f"tensor {i} is {got or 'missing'}, where the config has {want or 'none'}")
+    return config, manifest["feature_path"], end

@@ -98,10 +98,8 @@ class TrainReport:
 
 
 def sgd_step(params: ModelParams, lr: float) -> None:
-    """p <- p - lr * grad for every parameter; grads must be populated."""
+    """p <- p - lr * grad, one tensor at a time: one flat update would make a model-sized temporary."""
     for name, t in params.named():
-        if t.grad is None:
-            continue
         t.data -= lr * t.grad
         if not bool(np.isfinite(t.data).all()):
             raise NumericError(f"non-finite update for parameter {name}")

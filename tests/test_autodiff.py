@@ -5,6 +5,7 @@ import pytest
 
 from radnmt import autodiff as ad
 from radnmt.errors import NumericError, ShapeError, TapeError, UsageError
+from radnmt.model import ModelConfig, ModelParams
 from radnmt.seeding import derive_rng
 
 
@@ -226,17 +227,24 @@ def test_embedding_rejects_out_of_range_id():
 
 
 def test_uniform_init_interval_and_determinism():
-    a = ad.uniform_init((50, 50), rng=derive_rng(13, "init"))
-    b = ad.uniform_init((50, 50), rng=derive_rng(13, "init"))
-    assert (a.data >= -0.1).all() and (a.data < 0.1).all()
-    np.testing.assert_array_equal(a.data, b.data)
-    assert a.requires_grad
-    with pytest.raises(UsageError):
-        ad.uniform_init((2,), low=0.2, high=0.1, rng=derive_rng(0, "x"))
+    # ModelParams.initialize draws each tensor from its own stream, derive_rng(seed, "init", name)
+    config = ModelConfig(src_vocab_size=50, tgt_vocab_size=50, char_embed_dim=50, feat_embed_dim=4, hidden_size=8)
+    a, b = (ModelParams.initialize(config, seed=13) for _ in range(2))
+    for name, t in a.named():
+        drawn = np.delete(t.data, np.s_[8:16]) if name in ("enc_fwd_b", "enc_bwd_b", "dec_b") else t.data
+        assert (drawn >= -0.1).all() and (drawn < 0.1).all(), name
+        np.testing.assert_array_equal(t.data, b[name].data)
+        assert t.requires_grad
+    stream = derive_rng(13, "init", "src_char_emb")
+    np.testing.assert_array_equal(a["src_char_emb"].data, stream.uniform(-0.1, 0.1, size=(50, 50)))
+    for low, high in ((0.2, 0.1), (0.1, 0.1)):
+        with pytest.raises(UsageError):
+            ModelParams.initialize(config, seed=0, init_low=low, init_high=high)
 
 
 def test_uniform_init_mean_near_zero():
-    t = ad.uniform_init((100, 100), rng=derive_rng(14, "mean"))
+    config = ModelConfig(src_vocab_size=100, tgt_vocab_size=5, char_embed_dim=100, feat_embed_dim=1, hidden_size=1)
+    t = ModelParams.initialize(config, seed=14)["src_char_emb"]
     assert abs(t.data.mean()) < 0.01
 
 

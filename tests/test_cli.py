@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import struct
 import subprocess
@@ -52,6 +53,19 @@ def test_no_command_prints_help(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["annotate", "--nope"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_non_utf8_argument_is_usage_error(trained_dir, tmp_path, capsys):
+    # the byte 0xff on a Linux command line arrives as "\udcff" (surrogateescape)
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    inp.write_text("鉄の実験。\n", encoding="utf-8")
+    model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]
+    code = run(["translate", "--model", str(model), "--input", str(inp), "--output", str(out),
+                "--unk-token", "\udcff"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and "not valid UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_required_flags(capsys):
@@ -410,6 +424,13 @@ def _first_tensor(manifest, **changes):
     return dict(manifest, tensors=[dict(manifest["tensors"][0], **changes)] + manifest["tensors"][1:])
 
 
+def _first_two_swapped(manifest):
+    # offsets laid out afresh, so only the tensor order is wrong
+    first, second, *rest = manifest["tensors"]
+    size = 8 * math.prod(second["shape"])
+    return dict(manifest, tensors=[dict(second, offset=0), dict(first, offset=size)] + rest)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -421,9 +442,10 @@ def _first_tensor(manifest, **changes):
         lambda m: _first_tensor(m, shape="16"),
         lambda m: _first_tensor(m, offset=-8),
         lambda m: dict(m, tensors=m["tensors"][:1] + [dict(m["tensors"][1], offset=0)] + m["tensors"][2:]),
+        _first_two_swapped,
     ],
     ids=["empty-object", "list", "unknown-config-key", "config-not-object", "no-tensors",
-         "string-shape", "negative-offset", "overlapping-offset"],
+         "string-shape", "negative-offset", "overlapping-offset", "reordered-tensors"],
 )
 def test_bad_checkpoint_manifest_is_data_error(edit, trained_dir, tmp_path, capsys):
     model = sorted((trained_dir / "checkpoints").glob("*.rnmt"))[-1]

@@ -1,15 +1,16 @@
 import json
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import radnmt
 from radnmt import autodiff as ad
-from radnmt import decoding, training
+from radnmt import decoding, model, training
 from radnmt.autodiff import Tensor
 from radnmt.corpus import BOS, EOS, Batch, ExamplePair, make_batches
-from radnmt.errors import ConfigError, ContractError, DataError
+from radnmt.errors import ConfigError, ContractError, DataError, atomic_write
 from radnmt.model import (
     ModelParams,
     decode_step,
@@ -202,8 +203,9 @@ def test_encode_mirrored_sentences_swap_the_directions(feature_path):
     config = tiny_config() if feature_path else tiny_config(feat_embed_dim=0)
     params = ModelParams.initialize(config, seed=7, feature_path=feature_path)
     swap = {"enc_fwd_": "enc_bwd_", "enc_bwd_": "enc_fwd_"}
-    swapped = ModelParams(config, {swap.get(name[:8], name[:8]) + name[8:]: t for name, t in params.named()},
-                          feature_path)
+    swapped = ModelParams(config, feature_path)
+    for name, t in params.named():
+        swapped[swap.get(name[:8], name[:8]) + name[8:]].data[...] = t.data
     rng = derive_rng(7, "mirror")
     lengths, q = [6, 4, 1], config.hidden_size
     mask = np.arange(6) < np.array(lengths)[:, None]
@@ -482,18 +484,58 @@ def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     written = []
 
-    def fail_on_third_tensor(arr, dtype=None):
-        written.append(arr)
-        if len(written) == 3:
-            raise OSError("No space left on device")
-        return np.asarray(arr, dtype=dtype)
+    class FailOnPayload:
+        def __init__(self, f):
+            self.f = f
 
-    monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_tensor)
+        def write(self, data):
+            written.append(data)
+            if len(written) == 5:
+                raise OSError("No space left on device")
+            return self.f.write(data)
+
+    @contextmanager
+    def failing_write(target, mode):
+        with atomic_write(target, mode) as f:
+            yield FailOnPayload(f)
+
+    monkeypatch.setattr(model, "atomic_write", failing_write)
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(ModelParams.initialize(tiny_config(), seed=16), path)
-    assert len(written) == 3  # the manifest and two tensors went out before the failure
+    assert len(written) == 5  # magic, version, manifest length and manifest went out before the payload failed
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.rnmt"]
+
+
+@pytest.mark.parametrize("made_by", ["initialize", "load"])
+def test_params_are_views_of_one_array(made_by, tmp_path):
+    # Every tensor's .data and .grad are views of params.data and params.grad.
+    # zero_grads makes a fresh np.zeros array (calloc: pages backward never
+    # writes add no RSS) and rebinds the views. In a replay of perfbench's
+    # paper-shape set-up and finite-difference check, peak RSS read 739.0 MB
+    # so, 851.3 MB with one persistent array and fill(0), and 963.3 MB with
+    # np.zeros_like, which touches every page.
+    params = ModelParams.initialize(tiny_config(), seed=20)
+    if made_by == "load":
+        save_checkpoint(params, tmp_path / "model.rnmt")
+        params = load_checkpoint(tmp_path / "model.rnmt")
+
+    def assert_views(flat, views):
+        base, offset = flat.__array_interface__["data"][0], 0
+        for view in views:
+            assert np.shares_memory(view, flat)
+            assert view.__array_interface__["data"][0] == base + 8 * offset
+            offset += view.size
+        assert offset == flat.size
+
+    assert_views(params.data, [t.data for t in params.all()])
+    assert_views(params.grad, [t.grad for t in params.all()])
+    assert all(g is t.grad for g, t in zip(params.grads(), params.all(), strict=True))
+    old = params.grad
+    params.grad[:] = 1.0
+    params.zero_grads()
+    assert params.grad is not old and not params.grad.any()
+    assert_views(params.grad, [t.grad for t in params.all()])
 
 
 def test_checkpoint_with_removed_config_fields_loads(tmp_path):
