@@ -63,7 +63,9 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zeroes the gradient in place, so a view of a larger array stays one; None stays None."""
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:

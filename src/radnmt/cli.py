@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .corpus import FEATURE_VOCAB_SIZE, Batch, Vocab, build_vocab, encode_corpus, read_parallel
+from .corpus import FEATURE_VOCAB_SIZE, MAX_CHARS, Batch, Vocab, build_vocab, encode_corpus, read_parallel
 from .errors import DataError, NumericError, RadnmtError, UsageError, atomic_write, read_lines
 from .evaluation import TOKENIZATIONS, evaluate
 from .decoding import DEFAULT_UNK_TOKEN, translate_file
@@ -42,7 +42,7 @@ _TRAIN_KEYS = {"dropout": "dropout", "lr": "lr", "lr_decay": "lr_decay", "decay_
 CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     key: (type(getattr(cls, name)), getattr(cls, name))
     for keys, cls in ((_MODEL_KEYS, ModelConfig), (_TRAIN_KEYS, TrainConfig)) for key, name in keys.items()
-} | {"min_count": (int, 1), "max_size": (int, 0), "max_src_len": (int, 400)}
+} | {"min_count": (int, 1), "max_size": (int, 0), "max_src_len": (int, MAX_CHARS)}
 
 PROFILES = {
     "paper": {},
@@ -113,7 +113,7 @@ def _digest(path) -> str:
 def write_run_manifest(
     target, args, inputs: tuple[str, ...], config: dict | None = None, seed: int = 0
 ) -> Path:
-    """One manifest per run; identical manifests imply identical outputs.
+    """One manifest per run: input digests, config, seed, tool version and timestamp.
 
     inputs names the file arguments recorded by digest. config defaults
     to every other parsed argument but the command and the output

@@ -27,6 +27,7 @@ N_RESERVED = len(RESERVED)
 
 EOS_FEATURE = 0  # feature id carried by EOS/PAD positions
 FEATURE_VOCAB_SIZE = N_RADICALS + 1  # ids 0..214
+MAX_CHARS = 400  # training-time cap on either side of a pair (the max_src_len key)
 
 
 class Vocab:
@@ -161,7 +162,7 @@ def encode_corpus(
     src_vocab: Vocab,
     tgt_vocab: Vocab,
     table: RadicalTable,
-    max_chars: int | None = 400,
+    max_chars: int | None = MAX_CHARS,
 ) -> list[ExamplePair]:
     """Encode all pairs, skipping over-length sentences (training-time cap).
 

@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import _attention_bias, log_softmax
 from .corpus import BOS, EOS, PAD, Vocab, encode_corpus, pad_rows
-from .errors import DataError, RadnmtError, read_lines
+from .errors import DataError, RadnmtError, atomic_write, read_lines
 from .model import ModelParams, decode_step, encode
 from .radicals import RadicalTable
 
@@ -259,7 +258,7 @@ def translate_file(
 ) -> int:
     """Translate every line of input_path into output_path, in order. Returns the line count.
 
-    output_path is opened only once every line is translated, so a failed
+    output_path is replaced atomically (errors.atomic_write), so a failed
     run leaves it as it was.
     """
     lines = read_lines(input_path)
@@ -267,6 +266,6 @@ def translate_file(
         params, table, src_vocab, tgt_vocab, lines,
         beam_size, max_len, length_alpha, unk_token, str(input_path),
     )
-    with Path(output_path).open("w", encoding="utf-8") as dst:
-        dst.writelines(out + "\n" for out in outs)
+    with atomic_write(output_path) as dst:
+        dst.write("".join(out + "\n" for out in outs))
     return len(lines)

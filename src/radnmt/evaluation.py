@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .corpus import Vocab, encode_corpus, read_parallel
 from .decoding import translate_lines
-from .errors import DataError
+from .errors import DataError, atomic_write
 from .model import ModelParams
 from .radicals import RadicalTable
 from .training import perplexity
@@ -105,9 +105,9 @@ def evaluate(
 ) -> dict:
     """Teacher-forced perplexity plus beam-translation BLEU, with reports.
 
-    When out_dir is given, writes metrics.tsv, hypotheses.txt and a
-    side-by-side examples.txt (source / reference / hypothesis). All
-    emitted files are deterministic for a given checkpoint and inputs.
+    When out_dir is given, replaces hypotheses.txt, metrics.tsv and a
+    side-by-side examples.txt (source / reference / hypothesis), each
+    atomically; all three are deterministic for a checkpoint and inputs.
     """
     pairs = read_parallel(src_path, ref_path)
     if not pairs:
@@ -134,20 +134,16 @@ def evaluate(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "hypotheses.txt").write_text("".join(h + "\n" for h in hypotheses), encoding="utf-8")
-        metrics = out_dir / "metrics.tsv"
-        with metrics.open("w", encoding="utf-8") as f:
+        with atomic_write(out_dir / "hypotheses.txt") as f:
+            f.write("".join(h + "\n" for h in hypotheses))
+        with atomic_write(out_dir / "metrics.tsv") as f:
             f.write("metric\tvalue\n")
-            f.write(f"ppl\t{ppl!r}\n")
-            f.write(f"bleu\t{report.bleu!r}\n")
-            for i, p in enumerate(report.precisions, 1):
-                f.write(f"p{i}\t{p!r}\n")
-            f.write(f"brevity_penalty\t{report.brevity_penalty!r}\n")
-            f.write(f"hyp_tokens\t{report.hyp_tokens}\n")
-            f.write(f"ref_tokens\t{report.ref_tokens}\n")
-            f.write(f"tokenization\t{tokenization}\n")
-            f.write(f"sentences\t{len(pairs)}\n")
-        with (out_dir / "examples.txt").open("w", encoding="utf-8") as f:
+            for key, value in result.items():
+                if key == "precisions":
+                    f.write("".join(f"p{i}\t{p}\n" for i, p in enumerate(value, 1)))
+                else:
+                    f.write(f"{key}\t{value}\n")
+        with atomic_write(out_dir / "examples.txt") as f:
             for (src, ref), hyp in zip(pairs, hypotheses):
                 f.write(f"SRC: {src}\nREF: {ref}\nHYP: {hyp}\n\n")
     return result

@@ -147,8 +147,10 @@ class ModelParams:
         if not init_low < init_high:
             raise ConfigError(f"init_low {init_low} must be < init_high {init_high}")
         params = cls(config, feature_path)
-        for name, t in params.named():
-            t.data[...] = derive_rng(seed, "init", name).uniform(init_low, init_high, size=t.shape)
+        for name, t in params.named():  # uniform's low + (high - low) * u, drawn into the view
+            derive_rng(seed, "init", name).random(out=t.data)
+            t.data *= init_high - init_low
+            t.data += init_low
         q = config.hidden_size
         for name in ("enc_fwd_b", "enc_bwd_b", "dec_b"):
             params[name].data[q : 2 * q] = 1.0

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_lines
+from .errors import DataError, atomic_write, read_lines
 
 N_RADICALS = 214
 
@@ -265,7 +265,7 @@ def annotate_file(table: RadicalTable, input_path, output_path) -> int:
     Returns the number of lines written.
     """
     lines = read_lines(input_path)
-    with Path(output_path).open("w", encoding="utf-8") as dst:
+    with atomic_write(output_path) as dst:
         for text in lines:
             pairs = " ".join(f"{ch}|{index}" for ch, index in zip(text, table.annotate(text)))
             dst.write(pairs + "\n")

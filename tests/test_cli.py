@@ -1,10 +1,12 @@
 import argparse
+import ast
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radnmt
+from radnmt import decoding, evaluation, radicals
 from radnmt.cli import (
     _MODEL_KEYS,
     _TRAIN_KEYS,
     CONFIG_SCHEMA,
+    _load_model_and_vocabs,
     dispatch,
     load_config,
     resolve_config,
@@ -669,30 +673,109 @@ def test_train_line_count_mismatch_is_data_error(tmp_path, capsys):
     assert "2 vs 1" in capsys.readouterr().err
 
 
-def _fail_part_way(path):
+def _fail_part_way(path, *_):
     with atomic_write(path) as f:
         f.write("epoch\ttrain_nll\n")
         raise OSError("No space left on device")
 
 
+def _half_written(monkeypatch, module):
+    """module's atomic_write sends out half of its first write, then fails as a full disk does."""
+
+    class HalfThenFail:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError("No space left on device")
+
+    @contextmanager
+    def failing_write(path, mode="w"):
+        with atomic_write(path, mode) as f:
+            yield HalfThenFail(f)
+
+    monkeypatch.setattr(module, "atomic_write", failing_write)
+
+
+def _model_and_vocabs(run_dir):
+    return _load_model_and_vocabs(sorted((run_dir / "checkpoints").glob("*.rnmt"))[-1])
+
+
+def _translate(path, monkeypatch, run_dir):
+    _half_written(monkeypatch, decoding)
+    params, src_vocab, tgt_vocab = _model_and_vocabs(run_dir)
+    src, _ = radnmt.toy_corpus_paths()
+    decoding.translate_file(params, radnmt.load_bundled_table(), src_vocab, tgt_vocab, src, path, beam_size=1)
+
+
+def _annotate(path, monkeypatch, _):
+    _half_written(monkeypatch, radicals)
+    radicals.annotate_file(radnmt.load_bundled_table(), radnmt.toy_corpus_paths()[0], path)
+
+
+def _evaluate(path, monkeypatch, run_dir):
+    _half_written(monkeypatch, evaluation)
+    params, src_vocab, tgt_vocab = _model_and_vocabs(run_dir)
+    src, ref = radnmt.toy_corpus_paths()
+    evaluation.evaluate(params, radnmt.load_bundled_table(), src_vocab, tgt_vocab, src, ref, path.parent, beam_size=1)
+
+
 # a lone surrogate reaches a vocabulary from Python callers, and a manifest
 # from a command-line argument that is not UTF-8 (decoded with surrogateescape)
 @pytest.mark.parametrize(
-    "write",
+    "name, write",
     [
-        lambda path: Vocab(["a", "b", "\ud800", "c"]).save(path),
-        lambda path: write_run_manifest(path, argparse.Namespace(command="annotate"), (), {"input": "\udcff"}),
-        _fail_part_way,
+        ("out.tsv", lambda path, *_: Vocab(["a", "b", "\ud800", "c"]).save(path)),
+        ("out.tsv", lambda path, *_: write_run_manifest(
+            path, argparse.Namespace(command="annotate"), (), {"input": "\udcff"})),
+        ("out.tsv", _fail_part_way),
+        ("out.txt", _translate),
+        ("out.txt", _annotate),
+        ("hypotheses.txt", _evaluate),  # the first of evaluate's three files
     ],
-    ids=["vocab", "manifest", "report"],
+    ids=["vocab", "manifest", "report", "translate", "annotate", "evaluate"],
 )
-def test_failed_write_keeps_the_previous_file(write, tmp_path):
-    path = tmp_path / "out.tsv"
+def test_failed_write_keeps_the_previous_file(name, write, tmp_path, monkeypatch, trained_dir):
+    path = tmp_path / name
     path.write_text("old\n", encoding="utf-8")
     with pytest.raises((UnicodeEncodeError, OSError)):
-        write(path)
+        write(path, monkeypatch, trained_dir)
     assert path.read_text(encoding="utf-8") == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def _write_calls(tree, exempt):
+    """Calls that open a file to write or append, or call write_text/write_bytes, outside exempt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or node in exempt:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            yield node
+        elif name == "open":
+            # the mode: open(file, mode) or Path.open(mode); a mode that is not a literal may write
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                yield node
+
+
+def test_only_atomic_write_opens_files_for_writing():
+    # every output file is replaced atomically, through errors.atomic_write alone
+    package = Path(radnmt.__file__).parent
+    hits = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        writer = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "atomic_write"]
+        exempt = set(ast.walk(writer[0])) if source.name == "errors.py" else set()
+        hits += [f"{source.name}:{node.lineno}" for node in _write_calls(tree, exempt)]
+    assert hits == []
+    # the check sees each kind of writer it forbids
+    sample = ast.parse('open(p, "a"); p.open("w"); p.open(mode="rb+"); open(p, m); p.write_text(s); open(p, "rb")')
+    assert len(list(_write_calls(sample, set()))) == 5
 
 
 def test_train_logs_skipped_pairs_and_epochs_on_stderr(tmp_path, capsys):

@@ -12,6 +12,7 @@ from radnmt.autodiff import Tensor
 from radnmt.corpus import BOS, EOS, Batch, ExamplePair, make_batches
 from radnmt.errors import ConfigError, ContractError, DataError, atomic_write
 from radnmt.model import (
+    ModelConfig,
     ModelParams,
     decode_step,
     encode,
@@ -155,6 +156,21 @@ def test_forget_gate_bias_initialized_to_one():
     for name in ("enc_fwd_b", "enc_bwd_b", "dec_b"):
         np.testing.assert_array_equal(params[name].data[q : 2 * q], np.ones(q))
         assert (np.abs(params[name].data[:q]) < 0.1).all()
+
+
+@pytest.mark.parametrize("feature_path", [True, False])
+@pytest.mark.parametrize("low, high", [(-0.1, 0.1), (-0.5, 0.5), (-3.0, 0.25)])
+def test_initialize_equals_uniform_draws(feature_path, low, high):
+    # toy-memorize's shape; initialize draws in place, and must equal
+    # each stream's uniform(low, high) bit for bit
+    config = ModelConfig(src_vocab_size=60, tgt_vocab_size=55, char_embed_dim=24,
+                         feat_embed_dim=8 if feature_path else 0, hidden_size=32)
+    params = ModelParams.initialize(config, seed=21, feature_path=feature_path, init_low=low, init_high=high)
+    for name, t in params.named():
+        want = derive_rng(21, "init", name).uniform(low, high, size=t.shape)
+        if name in ("enc_fwd_b", "enc_bwd_b", "dec_b"):
+            want[32:64] = 1.0
+        assert t.data.tobytes() == want.tobytes(), name
 
 
 def test_per_name_init_is_order_independent():
@@ -507,7 +523,7 @@ def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.rnmt"]
 
 
-@pytest.mark.parametrize("made_by", ["initialize", "load"])
+@pytest.mark.parametrize("made_by", ["initialize", "load", "grad_check"])
 def test_params_are_views_of_one_array(made_by, tmp_path):
     # Every tensor's .data and .grad are views of params.data and params.grad.
     # zero_grads makes a fresh np.zeros array (calloc: pages backward never
@@ -519,6 +535,10 @@ def test_params_are_views_of_one_array(made_by, tmp_path):
     if made_by == "load":
         save_checkpoint(params, tmp_path / "model.rnmt")
         params = load_checkpoint(tmp_path / "model.rnmt")
+    if made_by == "grad_check":  # zeroes the gradients in place and leaves them in params.grad
+        batch = tiny_batch(5, batch=1, src_len=3, tgt_chars=1)
+        assert ad.grad_check(lambda: forward_loss(batch, params)[0], params.all(), eps=2e-3) <= 1e-4
+        assert params.grad.any()
 
     def assert_views(flat, views):
         base, offset = flat.__array_interface__["data"][0], 0
