@@ -6,10 +6,12 @@ backward() replays the records once, in reverse. Every VJP returns one
 gradient per input: those reaching op outputs are summed, those reaching
 requires_grad leaves are added into .grad in place (a new array where it
 is None; model.ModelParams makes each a view of one array), and those
-reaching constants are dropped. An op is recorded when a tape is active
-and one of its inputs requires grad (_recording); otherwise it runs
-forward-only. Dropout masks come pre-scaled: 1 / (1 - p) on kept lanes,
-0 on dropped ones, and the ops that take one multiply by it.
+reaching constants are dropped; an embedding table's comes as (rows,
+values), the ids read and those rows' gradient, which only a leaf takes.
+An op is recorded when a tape is active and one of its inputs requires
+grad (_recording); otherwise it runs forward-only. Dropout masks come
+pre-scaled: 1 / (1 - p) on kept lanes, 0 on dropped ones, and the ops
+that take one multiply by it.
 
 Everything is float64. Every op checks its output for NaN/Inf and
 raises NumericError rather than letting poison propagate. The
@@ -67,14 +69,17 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
-            )
+    def accumulate_grad(self, g) -> None:
+        """Add g into .grad (zeros where None): an array of this shape, or a table's (rows, values)."""
+        rows, g = g if isinstance(g, tuple) else (None, g)
+        if g.shape != (self.shape if rows is None else (len(rows), *self.shape[1:])):
+            raise ShapeError(f"gradient shape {g.shape} does not fit tensor shape {self.shape}")
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if rows is None:
+            self.grad += g
+        else:
+            np.add.at(self.grad, rows, g)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -111,7 +116,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     Leaf gradients are added in place as the records are replayed; an op
     output's are summed until its own record is. Callers zero gradients
-    between steps, so calling twice on the same tape doubles them. An
+    between steps: calling twice on the same tape doubles them, within
+    rounding where a table row was read more than once. An
     output of a multi-output op that the loss does not reach gets a zero
     gradient; a gradient reaching a constant is dropped.
     """
@@ -296,8 +302,7 @@ def encoder(
         flat = dgates.reshape(2, length * batch, -1)
         dx = flat[1] @ bwd_Wx.data.T + flat[0] @ fwd_Wx.data.T
         dx = dx if keep is None else dx * keep
-        for table, rows, part in zip(tables, ids, np.split(dx, np.cumsum(widths[:-1]), axis=1)):
-            yield _scatter(table, rows, part)
+        yield from zip(ids, np.split(dx, np.cumsum(widths[:-1]), axis=1))
         for d, h_in in enumerate((H[:-1, 0], H[-2::-1, 1])):
             yield from (x.T @ flat[d], h_in.reshape(length * batch, q).T @ flat[d], flat[d].sum(axis=0))
         yield from (h.T @ dh0, dh0.sum(axis=0), c.T @ dc0, dc0.sum(axis=0))
@@ -312,13 +317,6 @@ def _gather(table: Tensor, ids: np.ndarray, op: str) -> np.ndarray:
         bad = int(np.argmax((ids < 0) | (ids >= table.shape[0])))
         raise ShapeError(f"{op}: id {int(ids[bad])} at position {bad} outside table of {table.shape[0]} rows")
     return table.data[ids]
-
-
-def _scatter(table: Tensor, ids: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """The gradient reaching table from the gradient (n, d) of its rows at ids, as _gather read them."""
-    out = np.zeros_like(table.data)
-    np.add.at(out, ids, grad)
-    return out
 
 
 def make_dropout_mask(shape, drop_p: float, rng: np.random.Generator) -> np.ndarray:
@@ -423,7 +421,6 @@ def decoder(
     """
     (batch, q), p1 = h0.shape, table.shape[-1]
     length, src_len = np.size(ids) // batch, np.shape(mask)[-1]
-    # the table last: its dense gradient is made once the others are stored
     inputs = (h0, c0, vectors, Wx, Wh, b, attn_W, attn_out_W, table)
     expected = [(batch, q), (batch, q), (batch, src_len, 2 * q),
                 (p1 + q, 4 * q), (q, 4 * q), (4 * q,), (q, 2 * q), (3 * q, q)]
@@ -476,7 +473,7 @@ def decoder(
         yield H.reshape(n, q).T @ dproj.reshape(n, 2 * q)
         yield HC.reshape(n, 3 * q).T @ dpre.reshape(n, q)
         demb = (flat @ Wx.data[:p1].T).reshape(length, batch, p1) * emb_keep
-        yield _scatter(table, ids, demb.reshape(n, p1))
+        yield ids, demb.reshape(n, p1)
 
     return _emit("decoder", Y.reshape(length * batch, q), inputs, vjp)
 

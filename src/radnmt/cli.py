@@ -259,6 +259,11 @@ def _cmd_train(args) -> int:
                     max_size=cfg["max_size"])
         for side in (0, 1)
     )
+    train_set = encode_corpus(train_pairs, src_vocab, tgt_vocab, table, cfg["max_src_len"])
+    if not train_set:
+        raise DataError(f"training set is empty: of {len(train_pairs)} pairs, none fits max_src_len "
+                        f"{cfg['max_src_len']}")
+    dev_set = encode_corpus(dev_pairs, src_vocab, tgt_vocab, table, max_chars=None)
     model_values = {name: cfg[key] for key, name in _MODEL_KEYS.items()}
     if args.no_features:
         model_values["feat_embed_dim"] = 0
@@ -270,8 +275,6 @@ def _cmd_train(args) -> int:
     src_vocab_path, tgt_vocab_path = _vocab_dir_paths(out_dir)
     src_vocab.save(src_vocab_path)
     tgt_vocab.save(tgt_vocab_path)
-    train_set = encode_corpus(train_pairs, src_vocab, tgt_vocab, table, cfg["max_src_len"])
-    dev_set = encode_corpus(dev_pairs, src_vocab, tgt_vocab, table, max_chars=None)
     write_run_manifest(
         out_dir / "run_manifest.json", args,
         ("train_src", "train_tgt", "dev_src", "dev_tgt", "han_table", "kana_table"),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import Vocab, encode_corpus, read_parallel
@@ -121,16 +121,7 @@ def evaluate(
     )
     references = [tgt for _, tgt in pairs]
     report = bleu(hypotheses, references, tokenization=tokenization, smoothing=smoothing)
-    result = {
-        "ppl": ppl,
-        "bleu": report.bleu,
-        "precisions": report.precisions,
-        "brevity_penalty": report.brevity_penalty,
-        "hyp_tokens": report.hyp_tokens,
-        "ref_tokens": report.ref_tokens,
-        "tokenization": tokenization,
-        "sentences": len(pairs),
-    }
+    result = {"ppl": ppl, **asdict(report), "sentences": len(pairs)}
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -145,6 +145,24 @@ def test_double_backward_doubles_grads():
     np.testing.assert_array_equal(w.grad, 2 * once)
 
 
+def test_accumulate_grad_adds_table_rows_one_at_a_time():
+    # a table's (rows, values) reads row 2 twice: its two values are added in turn
+    rng = derive_rng(27, "table-rows")
+    table = T(rng, 4, 3)
+    rows, values = np.array([2, 0, 2]), rng.normal(size=(3, 3))
+    table.accumulate_grad((rows, values))  # into None: a zero array first
+    expected = np.zeros((4, 3))
+    expected[0], expected[2] = values[1], values[0] + values[2]
+    assert table.grad.tobytes() == expected.tobytes()
+    grad = table.grad
+    grad[...] = expected = rng.normal(size=(4, 3))
+    table.accumulate_grad((rows, values))  # into an existing gradient, in place
+    expected[0], expected[2] = expected[0] + values[1], expected[2] + values[0] + values[2]
+    assert table.grad is grad and grad.tobytes() == expected.tobytes()
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 3\)"):
+        table.accumulate_grad((rows, values[:2]))
+
+
 def test_backward_requires_scalar():
     rng = derive_rng(5, "scalar")
     w = T(rng, 2, 2)

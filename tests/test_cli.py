@@ -660,17 +660,25 @@ def test_gradcheck_seed_range_ends_at_32_bits(monkeypatch, capsys):
     assert "--seed must be in 0..4294967295" in capsys.readouterr().err
 
 
-def test_train_line_count_mismatch_is_data_error(tmp_path, capsys):
-    src = tmp_path / "s.txt"
-    tgt = tmp_path / "t.txt"
-    src.write_text("a\nb\n", encoding="utf-8")
-    tgt.write_text("x\n", encoding="utf-8")
+@pytest.mark.parametrize("case", ["line-count-mismatch", "max-src-len-keeps-none"])
+def test_train_data_errors_make_no_out_dir(case, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if case == "line-count-mismatch":
+        src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+        src.write_text("a\nb\n", encoding="utf-8")
+        tgt.write_text("x\n", encoding="utf-8")
+        cfg.write_text("", encoding="utf-8")
+    else:
+        src, tgt = radnmt.toy_corpus_paths()  # no toy sentence is one character long
+        cfg.write_text("max_src_len=1\n", encoding="utf-8")
     code = dispatch([
-        "train", "--train-src", str(src), "--train-tgt", str(tgt),
+        "train", "--config", str(cfg), "--train-src", str(src), "--train-tgt", str(tgt),
         "--dev-src", str(src), "--dev-tgt", str(tgt), "--out", str(tmp_path / "o"),
     ])
+    expected = {"line-count-mismatch": "2 vs 1", "max-src-len-keeps-none": "of 50 pairs, none fits max_src_len 1"}
     assert code == 2
-    assert "2 vs 1" in capsys.readouterr().err
+    assert expected[case] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _fail_part_way(path, *_):

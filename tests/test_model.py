@@ -411,6 +411,34 @@ def test_full_model_grad_check_tiny_config():
     assert ad.grad_check(f, params.all(), eps=2e-3) <= 1e-4
 
 
+def test_table_gradients_equal_dense_scatter():
+    # each table's gradient arrives as (rows, values); adding the rows into the gradient
+    # view gives, bit for bit, what adding a dense np.add.at table of them gave
+    params = ModelParams.initialize(tiny_config(), seed=21)
+    batch = tiny_batch(10, batch=4, src_len=5, tgt_chars=3)  # 20 source positions over 5 ids: rows repeat
+
+    def dense(inputs, vjp):
+        def dense_vjp(*gs):
+            for table, g in zip(inputs, vjp(*gs)):
+                if isinstance(g, tuple):
+                    g, (rows, values) = np.zeros_like(table.data), g
+                    np.add.at(g, rows, values)
+                yield g
+        return dense_vjp
+
+    grads = []
+    for densify in (False, True):
+        params.zero_grads()
+        with ad.Tape() as tape:
+            loss = forward_loss(batch, params, train=True, dropout=0.3, rng=derive_rng(0, "d"))[0]
+        if densify:
+            tape._records = [(outs, ins, dense(ins, vjp)) for outs, ins, vjp in tape._records]
+        ad.backward(loss, tape)
+        grads.append([params[name].grad.copy() for name in ("src_char_emb", "src_feat_emb", "tgt_char_emb")])
+    assert all(g.any() for g in grads[0])
+    assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in grads[1]]
+
+
 def test_dropout_draws_do_not_leak_into_eval():
     params = ModelParams.initialize(tiny_config(dropout=0.5), seed=13)
     batch = tiny_batch(6)
